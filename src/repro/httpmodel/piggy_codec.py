@@ -20,6 +20,7 @@ the delimiters.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from urllib.parse import quote, unquote
 
 from ..core.filters import ProxyFilter
@@ -160,13 +161,22 @@ def parse_piggy_report(value: str | None) -> tuple[tuple[str, int], ...]:
     return tuple(entries)
 
 
+@lru_cache(maxsize=1 << 17)
+def _element_value(url: str, last_modified: int, size: int) -> str:
+    """The value of one ``e=`` attribute (cached; hot elements repeat)."""
+    return f"{quote(url, safe=_URL_SAFE)}|{last_modified}|{size}"
+
+
 def format_p_volume(message: PiggybackMessage) -> str:
     """Render a piggyback message as a ``P-volume`` trailer value."""
     parts = [f"id={message.volume_id}"]
-    for element in message:
-        url = quote(element.url, safe=_URL_SAFE)
-        parts.append(f"e={url}|{int(element.last_modified)}|{element.size}")
-    return "; ".join(parts)
+    parts.extend(
+        _element_value(element.url, int(element.last_modified), element.size)
+        for element in message.elements
+    )
+    # The ``e=`` key stays spelled here, where the api-codec-parity lint
+    # rule pairs it with parse_p_volume.
+    return "; e=".join(parts)
 
 
 def parse_p_volume(value: str) -> PiggybackMessage:

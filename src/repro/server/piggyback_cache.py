@@ -6,8 +6,12 @@ resource-metadata version, requested URL, canonicalized filter), the
 ``P-volume`` trailer bytes can be replayed verbatim until one of those
 inputs changes.  Volume stores version themselves with per-volume epochs
 (:meth:`~repro.volumes.base.VolumeStore.lookup_version`), so invalidation
-is free: a mutated volume produces a new epoch, which is simply a new
-cache key — stale entries age out of the LRU bound.
+is free: a mutated volume produces a new epoch, and an entry answers
+only a probe at the epoch it was built at.  Epochs never go back, so an
+entry for an older epoch can never be hit again; the epoch is therefore
+kept *in* the entry, not in the key, and the rebuild overwrites it — a
+volume that moves on every request holds one slot per (URL, filter), not
+one per request.
 
 Filters are *canonicalized* before keying: the recently-piggybacked-volume
 list only decides whether a piggyback is sent at all (RPV suppression,
@@ -50,8 +54,8 @@ _TEL_CACHE_EVICTIONS = REGISTRY.counter(
     "cached piggyback entries dropped by the LRU bound",
 )
 
-# (volume id, volume epoch, resource-metadata version, url, canonical filter)
-CacheKey = tuple[int, int, int, str, ProxyFilter]
+# (volume id, resource-metadata version, url, canonical filter)
+CacheKey = tuple[int, int, str, ProxyFilter]
 
 
 def canonical_filter(piggyback_filter: ProxyFilter) -> ProxyFilter:
@@ -71,11 +75,13 @@ class CachedPiggyback:
     """One cached build result: the message and its serialized trailer.
 
     Both are None for a cached *negative* result (the filter admitted
-    nothing, or the volume had no candidates).
+    nothing, or the volume had no candidates).  ``epoch`` is the volume
+    epoch the result was built at.
     """
 
     message: PiggybackMessage | None
     wire_value: str | None
+    epoch: int
 
 
 @dataclass(slots=True)
@@ -119,10 +125,13 @@ class PiggybackMessageCache:
         with self._lock:
             return len(self._entries)
 
-    def get(self, key: CacheKey) -> CachedPiggyback | None:
-        """The cached result for *key*, refreshed as most recently used."""
+    def get(self, key: CacheKey, epoch: int) -> CachedPiggyback | None:
+        """The result cached for *key* at volume *epoch*, refreshed as most
+        recently used; an entry built at another epoch is a miss."""
         with self._lock:
             entry = self._entries.get(key)
+            if entry is not None and entry.epoch != epoch:
+                entry = None
             if entry is None:
                 self._misses += 1
             else:
@@ -135,12 +144,23 @@ class PiggybackMessageCache:
         return entry
 
     def put(
-        self, key: CacheKey, message: PiggybackMessage | None, wire_value: str | None
+        self,
+        key: CacheKey,
+        epoch: int,
+        message: PiggybackMessage | None,
+        wire_value: str | None,
     ) -> None:
-        """Store one build result, evicting the least recently used."""
-        entry = CachedPiggyback(message, wire_value)
+        """Store one build result, evicting the least recently used.
+
+        Replaces whatever *key* held, unless that was built at a later
+        epoch (a slower concurrent builder must not bury a newer result).
+        """
+        entry = CachedPiggyback(message, wire_value, epoch)
         evicted = 0
         with self._lock:
+            existing = self._entries.get(key)
+            if existing is not None and existing.epoch > epoch:
+                return
             self._entries[key] = entry
             self._entries.move_to_end(key)
             while len(self._entries) > self.max_entries:

@@ -79,21 +79,22 @@ class ServerStats:
 class PiggybackServer:
     """A cooperating origin server with volumes and filter support.
 
-    :meth:`handle` is thread-safe and holds the volume store's reentrant
-    lock only for the short mutation section — stats, cache-hit
-    absorption, volume maintenance, and a version probe.  Piggyback
-    construction runs *outside* that lock: a hit in the serialized-message
-    cache replays precomputed ``P-volume`` bytes without touching the
-    store at all, and a miss filters an immutable snapshot
-    (:meth:`~repro.volumes.base.VolumeStore.snapshot_lookup`).  Response
-    *bodies* are built and sent by the wire layer on the worker thread, so
-    body serving is never globally serialized.
+    :meth:`handle` is thread-safe and takes the volume store's reentrant
+    lock at most twice per request, both times briefly: once for stats,
+    cache-hit absorption, volume maintenance and a version probe, and
+    once more either to build a piggyback or to count a replayed one.  A
+    hit in the serialized-message cache (probed with no store lock held)
+    replays precomputed ``P-volume`` bytes without reading the store; a
+    miss filters the store's *lazy* candidates under the lock, so it
+    examines only as many elements as the filter's ``maxpiggy`` needs,
+    and serializes outside it.  Response *bodies* are built and sent by
+    the wire layer on the worker thread, so body serving is never
+    globally serialized.
 
     The cache is automatically bypassed when resource metadata is
     time-dependent (a :class:`~repro.workloads.modifications.ModificationProcess`
-    is attached — ``resources.version`` is None); that path keeps the
-    original single-lock, lazily truncated build, so the simulator's
-    behavior and cost are unchanged.
+    is attached — ``resources.version`` is None); the build is the same,
+    only the serialize-and-store step is skipped.
     """
 
     def __init__(
@@ -158,16 +159,6 @@ class PiggybackServer:
             if piggyback is not None:
                 span.tag("elements", str(len(piggyback)))
 
-        if piggyback is not None:
-            wire_bytes = piggyback.wire_bytes()
-            with store.lock:
-                self.stats.piggyback_messages += 1
-                self.stats.piggyback_elements += len(piggyback)
-                self.stats.piggyback_bytes += wire_bytes
-            _TEL_PIGGYBACK_MESSAGES.inc()
-            _TEL_PIGGYBACK_ELEMENTS.observe(float(len(piggyback)))
-            _TEL_PIGGYBACK_BYTES.inc(wire_bytes)
-
         return ServerResponse(
             url=request.url,
             status=status,
@@ -186,65 +177,69 @@ class PiggybackServer:
     ) -> tuple[PiggybackMessage | None, str | None]:
         """Build (or replay) the piggyback for a non-suppressed request.
 
-        Returns the message plus, on the cached path, its serialized
-        ``P-volume`` value so wire frontends skip re-serialization.
+        Returns the message plus, when the result is cacheable, its
+        serialized ``P-volume`` value so wire frontends skip
+        re-serialization.  Counts a sent message in :attr:`stats`.
         """
         canonical = canonical_filter(piggyback_filter)
         cache = self.piggyback_cache
         resources_version = self.resources.version
         store = self.volume_store
+        url = request.url
 
-        if cache is None or resources_version is None:
-            # Uncacheable (dynamic mtimes or cache disabled): the original
-            # single-lock build, lazily truncated by the filter.
-            with store.lock:
-                lookup = store.lookup(request.url)
-                if lookup is None:
-                    return None, None
-                now = request.timestamp
-                candidates = (
-                    self._with_current_mtime(candidate, now)
-                    for candidate in lookup.candidates
-                )
-                return canonical.apply(version.volume_id, candidates, request.url), None
+        # Uncacheable: cache disabled, or mtimes depend on request time.
+        cacheable = cache is not None and resources_version is not None
+        if cacheable:
+            key = (version.volume_id, resources_version, url, canonical)
+            cached = cache.get(key, version.epoch)
+            if cached is not None:
+                if cached.message is not None:
+                    with store.lock:
+                        self._count_piggyback(cached.message)
+                return cached.message, cached.wire_value
 
-        key = (
-            version.volume_id,
-            version.epoch,
-            resources_version,
-            request.url,
-            canonical,
-        )
-        cached = cache.get(key)
-        if cached is not None:
-            return cached.message, cached.wire_value
+        with store.lock:
+            if cacheable:
+                # Other threads may have moved the volume since the probe
+                # in handle(): cache under the version this build reads.
+                version = store.lookup_version(url)
+            lookup = store.lookup(url)
+            if version is None or lookup is None:
+                return None, None
+            now = request.timestamp
+            candidates = (
+                self._with_current_mtime(candidate, now)
+                for candidate in lookup.candidates
+            )
+            # Lazy candidates, consumed under the lock: the filter stops
+            # pulling at maxpiggy, so the rest of the volume is never read.
+            message = canonical.apply(lookup.volume_id, candidates, url)
+            if message is not None:
+                self._count_piggyback(message)
+        if not cacheable:
+            return message, None
 
-        snapshot = store.snapshot_lookup(request.url)
-        if snapshot is None:
-            return None, None
-        lookup, fresh_version = snapshot
-        now = request.timestamp
-        candidates = (
-            self._with_current_mtime(candidate, now) for candidate in lookup.candidates
-        )
-        message = canonical.apply(lookup.volume_id, candidates, request.url)
         wire_value = format_p_volume(message) if message is not None else None
-        # Store under the version the snapshot was actually taken at; if
-        # resource metadata moved underneath us meanwhile, skip caching —
-        # the computed message is still a valid answer for this request.
+        # If resource metadata moved underneath us meanwhile, skip caching
+        # — the computed message is still a valid answer for this request.
         if self.resources.version == resources_version:
             cache.put(
-                (
-                    fresh_version.volume_id,
-                    fresh_version.epoch,
-                    resources_version,
-                    request.url,
-                    canonical,
-                ),
+                (version.volume_id, resources_version, url, canonical),
+                version.epoch,
                 message,
                 wire_value,
             )
         return message, wire_value
+
+    def _count_piggyback(self, piggyback: PiggybackMessage) -> None:
+        """Account one sent piggyback (call under the store lock)."""
+        wire_bytes = piggyback.wire_bytes()
+        self.stats.piggyback_messages += 1
+        self.stats.piggyback_elements += len(piggyback)
+        self.stats.piggyback_bytes += wire_bytes
+        _TEL_PIGGYBACK_MESSAGES.inc()
+        _TEL_PIGGYBACK_ELEMENTS.observe(float(len(piggyback)))
+        _TEL_PIGGYBACK_BYTES.inc(wire_bytes)
 
     def _absorb_cache_hit_report(self, request: ProxyRequest) -> None:
         """Feed proxy-reported cache hits into volume maintenance.

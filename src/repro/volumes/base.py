@@ -82,8 +82,12 @@ class VolumeLookup:
 
     ``candidates`` may be a lazy iterable in the store's preference order
     (most useful first); consume it before the next ``observe`` call on
-    the same store, and at most once.  Use :meth:`materialized` when a
-    concrete tuple is needed (tests, multiple passes).
+    the same store — under the store's lock when threads share it — and
+    at most once.  Laziness is the point: the serving path hands it to
+    :meth:`~repro.core.filters.ProxyFilter.apply`, which stops pulling at
+    ``maxpiggy``, so a read costs what the filter examines, not the
+    volume's size.  Use :meth:`materialized` when a concrete tuple is
+    needed (tests, multiple passes).
     """
 
     volume_id: int
@@ -236,6 +240,8 @@ class VolumeStore(ABC):
         concrete tuple, safe to consume (and re-consume) with no lock
         held.  As long as ``lookup_version(url)`` still equals the
         returned version, anything derived from the snapshot is current.
+        Costs O(volume size): for tools, probes and test oracles, not for
+        the serving path, which filters the lazy :meth:`lookup` instead.
         """
         with self.lock:
             version = self.lookup_version(url)

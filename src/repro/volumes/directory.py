@@ -6,11 +6,14 @@ content type, with move-to-front semantics: a requested resource jumps to
 the head of its FIFO, so piggyback messages lead with the most recently
 accessed (an O(1) approximation of popularity ranking).  Unpopular entries
 fall off the tail when a volume exceeds its size bound.
+
+Beside the partitions every volume keeps one volume-wide recency order,
+so reading the ``k`` most recent entries costs ``k`` steps however large
+the volume is; the partitions only decide which entry a trim drops.
 """
 
 from __future__ import annotations
 
-import heapq
 from collections import OrderedDict
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -72,15 +75,19 @@ class _VolumeFifos:
     The *end* of each OrderedDict is the FIFO head (most recent with
     move-to-front, most recently added otherwise); trimming pops the tail
     of the largest partition so no content type floods the volume.
+    ``_order`` holds the same entries in one volume-wide touch order
+    (ascending ``last_touch``, which is unique per entry), so reads never
+    merge the partitions.
     """
 
     def __init__(self, partition_by_type: bool):
         self._partition_by_type = partition_by_type
         self._fifos: dict[str, OrderedDict[str, _Entry]] = {}
+        self._order: OrderedDict[str, _Entry] = OrderedDict()
         self._last_touch_url: str | None = None
 
     def __len__(self) -> int:
-        return sum(len(f) for f in self._fifos.values())
+        return len(self._order)
 
     def _fifo_for(self, content_type: str) -> OrderedDict[str, _Entry]:
         key = content_type if self._partition_by_type else ""
@@ -115,6 +122,7 @@ class _VolumeFifos:
             fifo[record.url] = entry
             # A fresh entry carries the newest touch, so it heads the
             # volume-wide recency order from here on.
+            self._order[record.url] = entry
             self._last_touch_url = record.url
         entry.access_count += 1
         if record.size and entry.size != record.size:
@@ -128,6 +136,7 @@ class _VolumeFifos:
             # Plain FIFO keeps insertion order; move-to-front refreshes it.
             entry.last_touch = touch
             fifo.move_to_end(record.url)
+            self._order.move_to_end(record.url)
             if self._last_touch_url != record.url:
                 changed = True  # global recency order was reshuffled
                 self._last_touch_url = record.url
@@ -136,23 +145,26 @@ class _VolumeFifos:
     def trim_to(self, max_size: int) -> int:
         """Drop tail entries until total size is within *max_size*."""
         dropped = 0
-        while len(self) > max_size:
+        while len(self._order) > max_size:
             largest = max(self._fifos.values(), key=len)
-            largest.popitem(last=False)
+            url, _ = largest.popitem(last=False)
+            del self._order[url]
             dropped += 1
         return dropped
 
-    def iter_most_recent_first(self) -> Iterator[_Entry]:
-        """All entries across partitions, most recently touched first.
+    def rebuild_order(self) -> None:
+        """Re-derive the volume-wide order from the partitions' entries.
 
-        Each partition FIFO is already recency-ordered, so a heap merge of
-        the reversed partitions yields global order in O(n log p) without
-        sorting.
+        State restore fills the partitions only: the order is an index
+        over ``last_touch``, not state of its own.
         """
-        streams = [reversed(fifo.values()) for fifo in self._fifos.values() if fifo]
-        if len(streams) == 1:
-            return streams[0]
-        return heapq.merge(*streams, key=lambda entry: -entry.last_touch)
+        entries = [entry for fifo in self._fifos.values() for entry in fifo.values()]
+        entries.sort(key=lambda entry: entry.last_touch)
+        self._order = OrderedDict((entry.url, entry) for entry in entries)
+
+    def iter_most_recent_first(self) -> Iterator[_Entry]:
+        """All entries across partitions, most recently touched first."""
+        return reversed(self._order.values())
 
 
 class DirectoryVolumeStore(VolumeStore):
@@ -169,10 +181,18 @@ class DirectoryVolumeStore(VolumeStore):
         # steady request mix over a settled volume keeps its epoch (and any
         # serialized piggyback derived from it) stable.
         self._epochs: dict[str, int] = share({}, "DirectoryVolumeStore._epochs")
+        # (url, key) of the latest resolution: a request resolves the same
+        # URL in observe, lookup_version and lookup.  One tuple, swapped
+        # whole, so a reader without the lock still sees a matching pair.
+        self._resolved: tuple[str | None, str] = (None, "")
 
     def volume_key(self, url: str) -> str:
         """The directory prefix defining the volume for *url*."""
-        return urls.directory_prefix(url, self.config.level)
+        resolved_url, key = self._resolved
+        if resolved_url != url:
+            key = urls.directory_prefix(url, self.config.level)
+            self._resolved = (url, key)
+        return key
 
     def volume_count(self) -> int:
         return len(self._volumes)

@@ -25,7 +25,6 @@ consumes these directly.
 
 from __future__ import annotations
 
-import heapq
 from collections import OrderedDict
 from collections.abc import Iterator
 
@@ -49,17 +48,22 @@ class UnsupportedStoreError(TypeError):
 
 
 class _IntVolumeFifos:
-    """One volume's FIFOs keyed by content-type id (or -1, unpartitioned)."""
+    """One volume's FIFOs keyed by content-type id (or -1, unpartitioned).
 
-    __slots__ = ("_partition_by_type", "_fifos", "_total")
+    As in the string-keyed store, ``_order`` keeps every entry in one
+    volume-wide touch order for reads; the partitions only choose the
+    trim victim.
+    """
+
+    __slots__ = ("_partition_by_type", "_fifos", "_order")
 
     def __init__(self, partition_by_type: bool):
         self._partition_by_type = partition_by_type
         self._fifos: dict[int, OrderedDict[int, list]] = {}
-        self._total = 0
+        self._order: OrderedDict[int, list] = OrderedDict()
 
     def __len__(self) -> int:
-        return self._total
+        return len(self._order)
 
     def touch(
         self, url_id: int, size: int, type_id: int, move_to_front: bool, touch: int
@@ -73,13 +77,14 @@ class _IntVolumeFifos:
         if entry is None:
             entry = [url_id, size, 0, type_id, touch]
             fifo[url_id] = entry
-            self._total += 1
+            self._order[url_id] = entry
         entry[ACCESS_COUNT] += 1
         if size:
             entry[SIZE] = size
         if move_to_front:
             entry[LAST_TOUCH] = touch
             fifo.move_to_end(url_id)
+            self._order.move_to_end(url_id)
 
     def trim_to(self, max_size: int) -> int:
         """Drop tail entries until total size is within *max_size*.
@@ -88,18 +93,15 @@ class _IntVolumeFifos:
         ties — the same choice the string-keyed store makes.
         """
         dropped = 0
-        while self._total > max_size:
+        while len(self._order) > max_size:
             largest = max(self._fifos.values(), key=len)
-            largest.popitem(last=False)
-            self._total -= 1
+            url_id, _ = largest.popitem(last=False)
+            del self._order[url_id]
             dropped += 1
         return dropped
 
     def iter_most_recent_first(self) -> Iterator[list]:
-        streams = [reversed(fifo.values()) for fifo in self._fifos.values() if fifo]
-        if len(streams) == 1:
-            return streams[0]
-        return heapq.merge(*streams, key=lambda entry: -entry[LAST_TOUCH])
+        return reversed(self._order.values())
 
 
 class InternedDirectoryStore:

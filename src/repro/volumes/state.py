@@ -193,6 +193,7 @@ def _restore_directory(store: DirectoryVolumeStore, payload: dict[str, Any]) -> 
                     last_touch=int(last_touch),
                 )
             fifos._fifos[str(partition_key)] = fifo
+        fifos.rebuild_order()
         fifos._last_touch_url = None if last_touch_url is None else str(last_touch_url)
         volumes[str(key)] = fifos
     store._volumes = volumes

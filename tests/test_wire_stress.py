@@ -60,6 +60,14 @@ def assert_volume_invariants(store, observed_requests):
     total_accesses = 0
     for key, volume in store._volumes.items():
         assert len(volume) > 0, f"empty volume {key!r} left behind"
+        # The volume-wide recency order indexes exactly the partitions'
+        # entries, strictly by last touch.
+        ordered = list(volume.iter_most_recent_first())
+        touches = [entry.last_touch for entry in ordered]
+        assert touches == sorted(set(touches), reverse=True)
+        assert sorted(entry.url for entry in ordered) == sorted(
+            url for fifo in volume._fifos.values() for url in fifo
+        )
         for partition, fifo in volume._fifos.items():
             for url, entry in fifo.items():
                 assert entry.url == url
