@@ -17,7 +17,19 @@ a thread forever and a burst of connections could spawn without limit.
   :mod:`repro.httpmodel.framing` (:func:`recv_framed`): no file object,
   no per-line reads, and pipelined requests come straight from the buffer;
 * 400/500 mapping and keep-alive handling live in one place; subclasses
-  implement only :meth:`handle_request`.
+  implement only :meth:`handle_request`;
+* a failed ``accept()`` while the server is running (``EMFILE``,
+  ``ENOBUFS``, ``ECONNABORTED``) is counted and retried after a short
+  back-off; only :meth:`stop` or :meth:`drain` ends the accept loop;
+* each connection thread runs under the Linux ``SCHED_BATCH`` policy
+  (:func:`_batch_schedule`).  The GIL already lets one thread of the
+  process run Python at a time.  Under the default policy a connection
+  thread woken by its request's arrival preempts the thread holding the
+  GIL, finds the GIL taken and sleeps again: about one involuntary
+  context switch per request with two busy keep-alive connections.
+  ``SCHED_BATCH`` has no wakeup preemption, so the woken thread waits
+  for the holder to block.  Where the policy is unavailable or refused,
+  the thread keeps the policy it inherited.
 
 Everything that is *not* about threads or sockets — the wire counters,
 the ``/.repro/metrics`` endpoint, the ``/.repro/`` admin namespace, the
@@ -36,8 +48,11 @@ mutation so body serving is never globally serialized.
 from __future__ import annotations
 
 import json
+import os
+import resource
 import socket
 import threading
+import time
 from dataclasses import asdict, dataclass, field
 from typing import Any
 
@@ -72,6 +87,10 @@ DRAIN_PATH = "/.repro/drain"
 # messages that do not fit in one.
 RECV_SIZE = 64 * 1024
 
+# Pause after a failed accept(): long enough not to spin while the fd
+# table is full, short enough that a queued client barely notices.
+ACCEPT_RETRY_DELAY = 0.05
+
 _TEL_CONNECTIONS = REGISTRY.counter(
     "wire_connections_accepted_total", "TCP connections accepted by wire servers"
 )
@@ -90,6 +109,9 @@ _TEL_IDLE_REAPED = REGISTRY.counter(
 )
 _TEL_CONN_ERRORS = REGISTRY.counter(
     "wire_connection_errors_total", "reads/writes that failed on a dead client"
+)
+_TEL_ACCEPT_ERRORS = REGISTRY.counter(
+    "wire_accept_errors_total", "accept() calls that failed on an open listener"
 )
 _TEL_INTERNAL_ERRORS = REGISTRY.counter(
     "wire_internal_errors_total", "handler exceptions mapped to 500"
@@ -110,6 +132,7 @@ _TEL_COUNTERS = {
     "idle_timeouts": _TEL_IDLE_TIMEOUTS,
     "idle_reaped": _TEL_IDLE_REAPED,
     "connection_errors": _TEL_CONN_ERRORS,
+    "accept_errors": _TEL_ACCEPT_ERRORS,
     "internal_errors": _TEL_INTERNAL_ERRORS,
 }
 
@@ -124,6 +147,7 @@ class WireServerStats:
     idle_timeouts: int = 0
     idle_reaped: int = 0
     connection_errors: int = 0
+    accept_errors: int = 0
     internal_errors: int = 0
 
 
@@ -166,6 +190,22 @@ def recv_framed(
                 raise HttpParseError("connection closed inside a message")
             raise EOFError("connection closed before message start")
         buffer += chunk[:count]
+
+
+def _batch_schedule() -> None:
+    """Move the calling thread to ``SCHED_BATCH``, best effort.
+
+    On a platform without the policy, or where the kernel refuses it,
+    the thread keeps its policy.
+    """
+    setscheduler = getattr(os, "sched_setscheduler", None)
+    policy = getattr(os, "SCHED_BATCH", None)
+    if setscheduler is None or policy is None:
+        return
+    try:
+        setscheduler(0, policy, os.sched_param(0))
+    except OSError:
+        pass
 
 
 class WireServerCore:
@@ -252,6 +292,7 @@ class WireServerCore:
         if path == STATUS_PATH and method == "GET":
             with self._stats_lock:
                 stats = asdict(self.wire_stats)
+            usage = resource.getrusage(resource.RUSAGE_SELF)
             payload: dict[str, Any] = {
                 "server": self.name,
                 "address": self.address,
@@ -259,6 +300,12 @@ class WireServerCore:
                 "draining": self._draining,
                 "active_workers": self.active_workers(),
                 "wire_stats": stats,
+                # Process-wide, since start: scrape twice and divide the
+                # deltas by requests served to get switches per request.
+                "context_switches": {
+                    "voluntary": usage.ru_nvcsw,
+                    "involuntary": usage.ru_nivcsw,
+                },
             }
             payload.update(self.admin_status())
             return self._json_response(payload)
@@ -426,7 +473,13 @@ class ThreadedWireServer(WireServerCore):
                 continue
             except OSError:
                 self._worker_slots.release()
-                return  # listener closed
+                if not self._running:
+                    return  # listener closed by stop() or drain()
+                # Out of descriptors or buffers, or a connection aborted
+                # before accept: transient, so keep the listener serving.
+                self._count("accept_errors")
+                time.sleep(ACCEPT_RETRY_DELAY)
+                continue
             client.settimeout(self.io_timeout)
             with self._connections_lock:
                 self._connection_counter += 1
@@ -444,6 +497,7 @@ class ThreadedWireServer(WireServerCore):
             worker.start()
 
     def _worker_entry(self, key: int, client: socket.socket) -> None:
+        _batch_schedule()
         _TEL_ACTIVE_WORKERS.inc()
         try:
             self._serve_connection(client)
@@ -486,9 +540,10 @@ class ThreadedWireServer(WireServerCore):
                     return  # lame duck: current request answered, now close
                 if (request.headers.get("Connection") or "").lower() == "close":
                     return
-                if self.idle_timeout is not None:
+                if served == 1 and self.idle_timeout is not None:
                     # Between requests the connection is idle; bound the
                     # wait for the next one by the (shorter) idle timeout.
+                    # Set once: every settimeout() is an ioctl.
                     client.settimeout(min(self.io_timeout, self.idle_timeout))
         finally:
             try:

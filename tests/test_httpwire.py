@@ -1,6 +1,9 @@
 """Loopback-socket integration tests for the wire server, proxy, and client."""
 
+import contextlib
+import errno
 import itertools
+import os
 
 import pytest
 
@@ -9,6 +12,8 @@ from repro.httpmodel.piggy_codec import P_VOLUME_HEADER, parse_p_volume
 from repro.httpwire.netclient import HttpConnection, fetch_once
 from repro.httpwire.netproxy import PiggybackHttpProxy
 from repro.httpwire.netserver import PiggybackHttpServer, synthetic_body
+from repro.lb.balancer import LbHttpServer, LbPolicy
+from repro.lb.routing import BackendSlot, RoutingTable
 from repro.proxy.proxy import ProxyConfig
 from repro.server.resources import ResourceStore
 from repro.server.server import PiggybackServer
@@ -150,3 +155,75 @@ class TestWireProxy:
             # No Host header: the proxy cannot resolve the origin.
             response = fetch_once(proxy.address, proxy.port, request)
         assert response.status == 400
+
+
+# -- connection-thread scheduling policy ------------------------------------
+
+needs_sched_batch = pytest.mark.skipif(
+    not hasattr(os, "SCHED_BATCH"), reason="SCHED_BATCH is Linux-only"
+)
+
+
+@contextlib.contextmanager
+def threaded_tier(tier, origin):
+    """Yield a started threaded server of *tier* in front of *origin*, and
+    a request it answers with 200."""
+    if tier == "origin":
+        yield origin, simple_get("/a/page.html")
+        return
+    if tier == "proxy":
+        server = PiggybackHttpProxy(
+            origins={HOST: (origin.address, origin.port)},
+            config=ProxyConfig(name="test-proxy", freshness_interval=3600.0),
+            clock=FakeClock(),
+        )
+        request = HttpRequest(method="GET", target=f"http://{HOST}/a/page.html")
+    else:
+        table = RoutingTable(
+            1, [BackendSlot(0, 0, origin.address, origin.port)], snapshot_ttl=0.5
+        )
+        server = LbHttpServer(
+            table, policy=LbPolicy(backend_timeout=2.0), site_host=HOST
+        )
+        request = simple_get("/a/page.html")
+    with server:
+        yield server, request
+
+
+def connection_policies(server):
+    """Scheduling policy of each of *server*'s live connection threads.
+
+    Read from the server's own connection table: a thread of an earlier
+    server can still be exiting under the same name.
+    """
+    with server._connections_lock:
+        threads = [connection.thread for connection in server._connections.values()]
+    return [os.sched_getscheduler(thread.native_id) for thread in threads]
+
+
+@needs_sched_batch
+@pytest.mark.parametrize("tier", ["origin", "proxy", "lb"])
+def test_connection_threads_run_under_sched_batch(origin, tier):
+    """A woken connection thread must not preempt the GIL holder: every
+    threaded tier serves each connection under SCHED_BATCH."""
+    with threaded_tier(tier, origin) as (server, request):
+        with HttpConnection(server.address, server.port) as connection:
+            assert connection.request(request).status == 200
+            policies = connection_policies(server)
+    assert policies == [os.SCHED_BATCH]
+
+
+@needs_sched_batch
+def test_refused_sched_batch_still_serves(origin, monkeypatch):
+    def refuse(*args):
+        raise PermissionError(errno.EPERM, "Operation not permitted")
+
+    monkeypatch.setattr(os, "sched_setscheduler", refuse)
+    with HttpConnection(origin.address, origin.port) as connection:
+        for _ in range(3):
+            assert connection.request(simple_get("/a/page.html")).status == 200
+        policies = connection_policies(origin)
+    # The thread keeps the policy it inherited from the test's thread.
+    assert policies == [os.sched_getscheduler(0)]
+    stats = origin.wire_stats
+    assert stats.internal_errors == stats.connection_errors == stats.accept_errors == 0

@@ -1,5 +1,6 @@
 """Failure injection and concurrency tests for the wire layer."""
 
+import errno
 import socket
 import threading
 import time
@@ -227,6 +228,38 @@ class TestSocketTimeouts:
                 for hog in hogs:
                     hog.close()
             assert wait_until(lambda: server.active_workers() == 0)
+
+
+class FlakyListener:
+    """A listening socket whose first ``accept()`` fails with EMFILE."""
+
+    def __init__(self, sock):
+        self.sock = sock
+        self.failures_left = 1
+
+    def accept(self):
+        if self.failures_left:
+            self.failures_left -= 1
+            raise OSError(errno.EMFILE, "Too many open files")
+        return self.sock.accept()
+
+    def close(self):
+        self.sock.close()
+
+
+def test_transient_accept_error_does_not_stop_accepting():
+    """Regression: the accept loop took every OSError for a closed
+    listener and returned, so one EMFILE left every later client hanging
+    until its own timeout."""
+    server = build_server()
+    server._listener = FlakyListener(server._listener)
+    with server:
+        request = HttpRequest(method="GET", target="/x.html")
+        request.headers.set("Host", HOST)
+        assert fetch_once(server.address, server.port, request, timeout=3.0).status == 200
+        assert server.wire_stats.accept_errors == 1
+        accept_thread = server._accept_thread
+    assert not accept_thread.is_alive()
 
 
 # -- malformed Content-Length, both backends and the LB relay ---------------

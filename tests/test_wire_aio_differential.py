@@ -380,8 +380,9 @@ def admin_request(server, method, path):
         connection.close()
 
 
-def test_async_admin_status_and_unknown_paths():
-    with AsyncPiggybackHttpServer(build_engine(), site_host=HOST) as origin:
+@pytest.mark.parametrize("backend", sorted(BACKEND_CLASSES))
+def test_admin_status_and_unknown_paths(backend):
+    with BACKEND_CLASSES[backend](build_engine(), site_host=HOST) as origin:
         url = sorted(PAGES)[0]
         request = HttpRequest(method="GET", target="/" + url.partition("/")[2])
         request.headers.set("Host", HOST)
@@ -392,6 +393,14 @@ def test_async_admin_status_and_unknown_paths():
         assert payload["server"].startswith("origin:")
         assert payload["draining"] is False
         assert payload["wire_stats"]["requests_served"] >= 1
+        assert payload["wire_stats"]["accept_errors"] == 0
+        # Process-wide counts since start: present, and never going back.
+        switches = payload["context_switches"]
+        assert set(switches) == {"voluntary", "involuntary"}
+        later = json.loads(admin_request(origin, "GET", "/.repro/status")[1])
+        for kind, count in switches.items():
+            assert isinstance(count, int) and count >= 0
+            assert later["context_switches"][kind] >= count
         assert admin_request(origin, "GET", "/.repro/snapshot")[0] == 405
         assert admin_request(origin, "GET", "/.repro/bogus")[0] == 404
 
