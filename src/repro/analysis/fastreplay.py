@@ -2,7 +2,11 @@
 
 This is the high-throughput twin of :func:`repro.analysis.prediction.replay`.
 It operates on a :class:`~repro.traces.intern.CompiledTrace` (dense integer
-ids, columnar arrays) and interned volume stores, and it can score several
+ids, columnar arrays) and volume stores maintained on the trace's ids (a
+:class:`~repro.volumes.directory.DirectoryVolumeStore` built on the
+trace's id space, or an
+:class:`~repro.volumes.interned.InternedProbabilityStore`), and it can
+score several
 :class:`~repro.analysis.prediction.ReplayConfig` filter configurations in a
 *single* pass over the trace: per-record work that is independent of the
 configuration (trace decoding, volume maintenance) is paid once, and the
@@ -45,15 +49,8 @@ from ..core.piggyback import VOLUME_ID_BYTES
 from ..core.rpv import RpvList
 from ..traces.intern import ChunkedCompiledTrace, CompiledTrace, compile_trace
 from ..traces.records import Trace
-from ..volumes.interned import (
-    ACCESS_COUNT,
-    CONTENT_TYPE,
-    SIZE,
-    URL,
-    InternedDirectoryStore,
-    InternedProbabilityStore,
-    build_interned_store,
-)
+from ..volumes.directory import ACCESS_COUNT, CONTENT_TYPE, SIZE, URL
+from ..volumes.interned import InternedProbabilityStore, build_interned_store
 from ..telemetry import REGISTRY
 from .metrics import ReplayMetrics
 from .prediction import ReplayConfig
@@ -193,9 +190,13 @@ def replay_interned_multi(
 ) -> list[ReplayMetrics]:
     """Score many (store, config) pairs in one pass over *trace*.
 
-    ``entries`` is a sequence of ``(store_or_config, ReplayConfig)`` pairs;
-    stores may be interned stores, reference stores, or store configs (see
-    :func:`repro.volumes.interned.build_interned_store`).  Entries sharing
+    ``entries`` is a sequence of ``(store_or_config, ReplayConfig)`` pairs.
+    A :class:`~repro.volumes.directory.DirectoryVolumeConfig` replays a
+    fresh directory store; a directory store instance is replayed itself
+    (it must hold no entries yet, or live on this trace's id space); a
+    probability artifact or store replays an id-space copy of its volumes.
+    :func:`repro.volumes.interned.build_interned_store` has the details,
+    and raises ``UnsupportedStoreError`` for anything else.  Entries sharing
     a store object (by identity) share its maintenance work.  Passing a
     :class:`ChunkedCompiledTrace` makes this a bounded-memory streaming
     pass (chunks are decoded one at a time; results are bit-identical).
@@ -220,11 +221,11 @@ def _replay_compiled_multi(
     source_identity = IdentityIndex()
     interned_cache: dict[int, object] = {}
     for store_like, config in entries:
-        if isinstance(store_like, (InternedDirectoryStore, InternedProbabilityStore)):
+        if isinstance(store_like, InternedProbabilityStore):
             store = store_like
         else:
-            # Share one interned twin per distinct reference store/config
-            # object so multi-config entries keep shared maintenance.
+            # Share one replayed store per distinct store/config object so
+            # multi-config entries keep shared maintenance.
             key = source_identity.index_of(store_like)
             store = interned_cache.get(key)
             if store is None:

@@ -187,11 +187,13 @@ def replay_many(trace, entries, engine: str = "fast") -> list[ReplayMetrics]:
     ``engine="reference"`` does.
 
     Each entry is ``(store_or_config, ReplayConfig)`` where the store may
-    be a :class:`~repro.volumes.base.VolumeStore`, an interned store, or a
-    store config accepted by
-    :func:`repro.volumes.interned.build_interned_store`.  Store kinds
-    without an interned twin raise ``UnsupportedStoreError`` under the fast
-    engine — use ``engine="reference"`` for those.
+    be a :class:`~repro.volumes.base.VolumeStore` or a store config.  The
+    fast engine replays directory configs and directory stores (the given
+    instance itself, which must hold no entries yet or live on the trace's
+    id space) and probability volumes; see
+    :func:`repro.volumes.interned.build_interned_store`.  Anything else
+    raises ``UnsupportedStoreError`` under the fast engine — use
+    ``engine="reference"`` for those.
     """
     if engine == "fast":
         from .fastreplay import replay_interned_multi

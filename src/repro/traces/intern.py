@@ -37,6 +37,7 @@ from typing import Union
 
 from .. import urls as url_utils
 from ..core.piggyback import ELEMENT_FIXED_BYTES
+from ..devtools.racecheck import share
 from ..telemetry import REGISTRY
 from .records import LogRecord, Trace
 
@@ -48,6 +49,7 @@ __all__ = [
     "CompileCache",
     "COMPILE_CACHE",
     "compile_trace",
+    "growing_id_space",
     "DEFAULT_CHUNK_RECORDS",
 ]
 
@@ -464,6 +466,28 @@ class ChunkedCompiledTrace(_InternedColumns):
 
 #: Anything the fast engines accept as an already-compiled trace.
 CompiledLike = Union[CompiledTrace, ChunkedCompiledTrace]
+
+
+def growing_id_space(name: str, level: int) -> ChunkedCompiledTrace:
+    """An empty id space for an owner that interns URLs as they arrive.
+
+    Its content-type column and level-*level* prefix column are built up
+    front, so :meth:`ensure_url` extends them.  The tables it grows are
+    the owner's mutable state: with ``REPRO_RACE`` on they are
+    race-checked under *name*, like the owner's other shared containers.
+    """
+    space = ChunkedCompiledTrace()
+    space.content_type_ids()
+    prefixes = space.directory_prefix_table(level)
+    for table in (space.urls, space.content_types, prefixes):
+        table._ids = share(table._ids, f"{name}.ids")
+        table._strings = share(table._strings, f"{name}.strings")
+    space._prefix_columns[level] = (
+        prefixes, share(space.directory_prefix_ids(level), f"{name}.prefix_ids")
+    )
+    space._content_type_ids = share(space._content_type_ids, f"{name}.content_type_ids")
+    space._url_counts = share(space._url_counts, f"{name}.url_counts")
+    return space
 
 
 def _element_wire_bytes(url: str) -> int:

@@ -28,7 +28,8 @@ from collections import Counter, OrderedDict, deque
 from typing import Any
 
 from .base import VolumeStore
-from .directory import DirectoryVolumeStore, _Entry, _VolumeFifos
+from .directory import ACCESS_COUNT, CONTENT_TYPE, LAST_MODIFIED, LAST_TOUCH, SIZE, URL
+from .directory import DirectoryVolumeStore, _Volume
 from .online import OnlineProbabilityVolumeStore
 from .probability import PairwiseEstimator, ProbabilityVolumes, ProbabilityVolumeStore, _Occurrence
 
@@ -143,27 +144,32 @@ def restore_estimator_state(
 
 
 def _capture_directory(store: DirectoryVolumeStore) -> dict[str, Any]:
+    # The layout holds URL and content-type strings, never ids: ids are
+    # private to the store's id space.  An unpartitioned FIFO is "".
+    urls = store.id_space.urls.strings
+    types = store.id_space.content_types.strings
     volumes = []
-    for key, fifos in store._volumes.items():
+    for key, volume in store._volumes.items():
         partitions = []
-        for partition_key, fifo in fifos._fifos.items():
+        for partition, fifo in volume.fifos.items():
             partitions.append(
                 [
-                    partition_key,
+                    "" if partition < 0 else types[partition],
                     [
                         [
-                            entry.url,
-                            entry.size,
-                            entry.last_modified,
-                            entry.access_count,
-                            entry.content_type,
-                            entry.last_touch,
+                            urls[entry[URL]],
+                            entry[SIZE],
+                            entry[LAST_MODIFIED],
+                            entry[ACCESS_COUNT],
+                            types[entry[CONTENT_TYPE]],
+                            entry[LAST_TOUCH],
                         ]
                         for entry in fifo.values()
                     ],
                 ]
             )
-        volumes.append([key, partitions, fifos._last_touch_url])
+        last = volume.last_touched
+        volumes.append([key, partitions, None if last is None else urls[last]])
     return {
         **_base_payload(store),
         "allocator": store._allocator.assignments(),
@@ -177,26 +183,31 @@ def _restore_directory(store: DirectoryVolumeStore, payload: dict[str, Any]) -> 
     _base_restore(store, payload)
     store._allocator.restore(payload["allocator"])
     store._touch_counter = int(payload["touch_counter"])
-    store._epochs = {str(key): int(epoch) for key, epoch in payload["epochs"].items()}
-    volumes: dict[str, _VolumeFifos] = {}
+    epochs = {str(key): int(epoch) for key, epoch in payload["epochs"].items()}
+    intern_url = store.id_space.ensure_url
+    intern_type = store.id_space.content_types.intern
+    partition_by_type = store.config.partition_by_type
+    volumes: dict[str, _Volume] = {}
     for key, partitions, last_touch_url in payload["volumes"]:
-        fifos = _VolumeFifos(store.config.partition_by_type)
+        volume = _Volume()
         for partition_key, entries in partitions:
-            fifo: OrderedDict[str, _Entry] = OrderedDict()
+            fifo: OrderedDict[int, list] = OrderedDict()
             for url, size, last_modified, access_count, content_type, last_touch in entries:
-                fifo[str(url)] = _Entry(
-                    url=str(url),
-                    size=int(size),
-                    last_modified=float(last_modified),
-                    access_count=int(access_count),
-                    content_type=str(content_type),
-                    last_touch=int(last_touch),
-                )
-            fifos._fifos[str(partition_key)] = fifo
-        fifos.rebuild_order()
-        fifos._last_touch_url = None if last_touch_url is None else str(last_touch_url)
-        volumes[str(key)] = fifos
-    store._volumes = volumes
+                url_id = intern_url(str(url))
+                fifo[url_id] = [url_id, int(size), int(access_count),
+                                intern_type(str(content_type)), int(last_touch),
+                                float(last_modified), None]
+            partition = intern_type(str(partition_key)) if partition_by_type else -1
+            volume.fifos[partition] = fifo
+        volume.rebuild_order()
+        if last_touch_url is not None:
+            volume.last_touched = intern_url(str(last_touch_url))
+        volumes[str(key)] = volume
+    # Refill the store's own containers: they stay race-checked.
+    store._epochs.clear()
+    store._epochs.update(epochs)
+    store._volumes.clear()
+    store._volumes.update(volumes)
 
 
 # --- probability stores -------------------------------------------------

@@ -240,6 +240,17 @@ def test_volume_store_tables_and_lock_are_wrapped(race_on):
     store = DirectoryVolumeStore()
     assert isinstance(store._volumes, SharedStateProxy)
     assert isinstance(store._epochs, SharedStateProxy)
+    assert isinstance(store._key_of, SharedStateProxy)
+    # The id space the store grows is store state too.
+    id_space = store.id_space
+    level = store.config.level
+    prefixes = id_space.directory_prefix_table(level)
+    for table in (id_space.urls, id_space.content_types, prefixes):
+        assert isinstance(table._ids, SharedStateProxy)
+        assert isinstance(table._strings, SharedStateProxy)
+    assert isinstance(id_space.directory_prefix_ids(level), SharedStateProxy)
+    assert isinstance(id_space.content_type_ids(), SharedStateProxy)
+    assert isinstance(id_space.url_counts(), SharedStateProxy)
     assert isinstance(store.lock, RaceLock)
 
 
@@ -252,6 +263,9 @@ def test_wired_objects_plain_when_disabled(monkeypatch):
     assert isinstance(cache._entries, OrderedDict)
     store = DirectoryVolumeStore()
     assert isinstance(store._volumes, dict)
+    assert isinstance(store._key_of, list)
+    assert isinstance(store.id_space.urls._ids, dict)
+    assert isinstance(store.id_space.content_type_ids(), list)
 
 
 def test_seeded_unsynchronized_store_mutation_detected(race_on):
@@ -265,7 +279,8 @@ def test_seeded_unsynchronized_store_mutation_detected(race_on):
     turn_a = threading.Event()
 
     def record(tag, i):
-        # A fresh directory per observation forces a _volumes dict write.
+        # A fresh URL in a fresh directory per observation forces writes
+        # to the id space, _key_of and _volumes.
         return LogRecord(
             timestamp=float(i),
             source=f"client-{tag}",
@@ -275,7 +290,7 @@ def test_seeded_unsynchronized_store_mutation_detected(race_on):
 
     def observer_a():
         # Bypass store.lock on purpose: interleaved observe() calls
-        # mutate _volumes/_epochs unsynchronized.
+        # mutate the store's tables unsynchronized.
         store.observe(record("a", 1))
         turn_b.set()
         assert turn_a.wait(timeout=5)

@@ -1,24 +1,31 @@
 """Differential tests: the interned fast path must be bit-identical.
 
 Every configuration here runs both the reference engine
-(:func:`repro.analysis.prediction.replay` with string-keyed stores) and
-the interned engine (:func:`repro.analysis.fastreplay.replay_interned_multi`)
-on the same workloads and asserts *exact* equality of the resulting
+(:func:`repro.analysis.prediction.replay`) and the interned engine
+(:func:`repro.analysis.fastreplay.replay_interned_multi`) on the same
+workloads and asserts *exact* equality of the resulting
 :class:`ReplayMetrics` — including the random-enable RNG streams, RPV
 suppression, wire-byte accounting, and the multi-config single-pass mode.
+Directory volumes are referenced against the frozen string-keyed store in
+``directory_oracle``, not against the id-space store the engine replays.
 The estimator twin is held to the same standard on `Implication` sets.
 """
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
+import directory_oracle
 from repro.analysis.fastreplay import replay_interned, replay_interned_multi
 from repro.analysis.prediction import ReplayConfig, replay, replay_many
 from repro.core.filters import ProxyFilter
 from repro.traces.intern import compile_trace
+from repro.traces.records import LogRecord, Trace
 from repro.volumes.directory import DirectoryVolumeConfig, DirectoryVolumeStore
 from repro.volumes.interned import UnsupportedStoreError, build_interned_store
+from repro.volumes.sitewide import CrossHostVolumeStore
 from repro.volumes.probability import (
     PairwiseConfig,
     PairwiseEstimator,
@@ -66,10 +73,27 @@ DIRECTORY_CONFIGS = [
 
 def _reference(trace, store_config, config):
     if isinstance(store_config, DirectoryVolumeConfig):
-        store = DirectoryVolumeStore(store_config)
+        store = directory_oracle.DirectoryVolumeStore(store_config)
     else:
         store = ProbabilityVolumeStore(store_config)
     return replay(trace, store, config)
+
+
+def _two_host_trace(count: int = 400, seed: int = 5) -> Trace:
+    rng = random.Random(seed)
+    records = []
+    for index in range(count):
+        host = rng.choice(("www.a.example", "www.b.example"))
+        name = f"d{rng.randrange(3)}/f{rng.randrange(12)}.{rng.choice(('html', 'gif'))}"
+        records.append(
+            LogRecord(
+                timestamp=10.0 * index,
+                source=f"c{rng.randrange(6)}",
+                url=f"{host}/{name}",
+                size=rng.randrange(100, 5000),
+            )
+        )
+    return Trace(records)
 
 
 @pytest.fixture(scope="module")
@@ -131,7 +155,7 @@ class TestMultiConfigSinglePass:
             (volumes, ReplayConfig(enable_probability=0.5, seed=7)),
         ]
         fast = replay_interned_multi(server_trace, entries)
-        reference = replay_many(server_trace, entries, engine="reference")
+        reference = [_reference(server_trace, store, config) for store, config in entries]
         assert fast == reference
 
     def test_shared_store_does_not_leak_between_slots(self, server_trace):
@@ -154,6 +178,35 @@ class TestMultiConfigSinglePass:
         )
         assert fast[0] == _reference(server_trace, DirectoryVolumeConfig(level=1), config)
         assert fast[1] == _reference(server_trace, volumes, config)
+
+    def test_store_instance_keeps_its_keying(self):
+        # The engine replays the instance it is given: one volume across
+        # both hosts, not a fresh per-host level-0 store from its config.
+        trace = _two_host_trace()
+        config = ReplayConfig()
+        fast = replay_many(trace, [(CrossHostVolumeStore(), config)])[0]
+        assert fast == replay(trace, directory_oracle.CrossHostVolumeStore(), config)
+
+    def test_warmed_store_instance_is_replayed_with_its_state(self, server_trace):
+        records = list(server_trace)
+        warmup, tail = records[:100], Trace(records[100:300])
+        config = ReplayConfig()
+        level1 = DirectoryVolumeConfig(level=1)
+        oracle = directory_oracle.DirectoryVolumeStore(level1)
+        oracle.observe_trace(warmup)
+        expected = replay(tail, oracle, config)
+
+        # Warmed on its own id space: refused, naming the config to pass,
+        # never replayed from empty.
+        warmed = DirectoryVolumeStore(level1)
+        warmed.observe_trace(warmup)
+        with pytest.raises(UnsupportedStoreError, match="level=1"):
+            replay_many(tail, [(warmed, config)])
+
+        # Warmed on the trace's own id space: replayed as it stands.
+        store = DirectoryVolumeStore(level1, id_space=compile_trace(tail))
+        store.observe_trace(warmup)
+        assert replay_many(tail, [(store, config)])[0] == expected
 
     def test_unsupported_store_raises(self, server_trace):
         from repro.volumes.online import OnlineProbabilityVolumeStore

@@ -4,7 +4,8 @@ Three contracts of the serving path's miss branch:
 
 * **Differential** — seeded random request streams through
   :meth:`PiggybackServer.handle` and through an oracle written here
-  (``snapshot_lookup`` → ``ProxyFilter.apply`` → an uncached ``P-volume``
+  (``snapshot_lookup`` on the frozen string-keyed store from
+  ``directory_oracle`` → ``ProxyFilter.apply`` → an uncached ``P-volume``
   formatter, with an unbounded per-epoch cache model) yield equal
   ``P-volume`` strings, equal :class:`VolumeVersion` s and equal cache
   hit/miss sequences.
@@ -12,10 +13,10 @@ Three contracts of the serving path's miss branch:
   ``k + rejected + 1`` candidates from a 500-entry volume.  A count, not
   a timing, so it cannot flake and an O(volume) read cannot come back
   unnoticed.
-* **Order** — for both directory-store twins, ``iter_most_recent_first``
-  is the entries by strictly descending ``last_touch`` under any
-  touch/trim sequence, and state capture → restore → capture is a fixed
-  point that keeps that order.
+* **Order** — the store's FIFO core and the oracle's, fed the same
+  touch/trim sequence, yield one ``iter_most_recent_first`` order,
+  strictly by descending ``last_touch``; and state capture → restore →
+  capture is a fixed point that keeps that order.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import directory_oracle
 from repro.core.filters import ProxyFilter
 from repro.core.protocol import ProxyRequest
 from repro.httpmodel.piggy_codec import parse_piggy_filter
@@ -38,11 +40,12 @@ from repro.server.server import PiggybackServer
 from repro.traces.records import LogRecord
 from repro.volumes.base import VolumeLookup
 from repro.volumes.directory import (
+    LAST_TOUCH,
+    URL,
     DirectoryVolumeConfig,
     DirectoryVolumeStore,
-    _VolumeFifos,
+    _Volume,
 )
-from repro.volumes.interned import LAST_TOUCH, URL, _IntVolumeFifos
 from repro.volumes.state import capture_store_state, restore_store_state
 
 HOST = "www.miss.example"
@@ -151,12 +154,12 @@ class Oracle:
 # -- differential ---------------------------------------------------------------
 
 
-def build_store(config: DirectoryVolumeConfig, resources, state_dir):
+def build_store(store_class, config: DirectoryVolumeConfig, resources, state_dir):
     """(store, closer): direct, or journaled when *state_dir* is given."""
     if state_dir is None:
-        return DirectoryVolumeStore(config), lambda: None
+        return store_class(config), lambda: None
     state = DurableState(
-        state_dir, lambda: DirectoryVolumeStore(config), resources=resources, sync=False
+        state_dir, lambda: store_class(config), resources=resources, sync=False
     )
     return state.store, state.close
 
@@ -181,10 +184,16 @@ def test_miss_path_matches_oracle(
     server_resources = make_resources(random.Random(seed))
     oracle_resources = make_resources(random.Random(seed))
     server_store, close_server = build_store(
-        config, server_resources, tmp_path / "server" if journaled else None
+        DirectoryVolumeStore,
+        config,
+        server_resources,
+        tmp_path / "server" if journaled else None,
     )
     oracle_store, close_oracle = build_store(
-        config, oracle_resources, tmp_path / "oracle" if journaled else None
+        directory_oracle.DirectoryVolumeStore,
+        config,
+        oracle_resources,
+        tmp_path / "oracle" if journaled else None,
     )
     try:
         server = PiggybackServer(server_resources, server_store)
@@ -356,9 +365,9 @@ CONTENT_TYPES = ("text", "image", "applet")
 @settings(deadline=None, max_examples=150)
 @given(steps=TOUCH_STEPS, partition_by_type=st.booleans(), move_to_front=st.booleans())
 def test_recency_order_is_descending_last_touch(steps, partition_by_type, move_to_front):
-    """Both twins, same steps: one order, strictly by last touch."""
-    string_twin = _VolumeFifos(partition_by_type)
-    id_twin = _IntVolumeFifos(partition_by_type)
+    """Store core and oracle core, same steps: one order, strictly by last touch."""
+    oracle = directory_oracle._VolumeFifos(partition_by_type)
+    volume = _Volume()
     # A URL keeps the content type of its first touch, as real URLs do.
     type_of: dict[int, int] = {}
     for touch, (url_index, type_index, trim_to) in enumerate(steps, start=1):
@@ -366,26 +375,36 @@ def test_recency_order_is_descending_last_touch(steps, partition_by_type, move_t
         record = LogRecord(
             timestamp=float(touch), source="s", url=f"h/d/u{url_index}", size=10 + touch
         )
-        string_twin.touch(record, CONTENT_TYPES[type_index], move_to_front, touch)
-        id_twin.touch(url_index, 10 + touch, type_index, move_to_front, touch)
+        oracle_changed, oracle_count = oracle.touch(
+            record, CONTENT_TYPES[type_index], move_to_front, touch
+        )
+        assert volume.touch(
+            url_index,
+            10 + touch,
+            None,
+            type_index,
+            type_index if partition_by_type else -1,
+            move_to_front,
+            touch,
+        ) == (oracle_changed, oracle_count)
         if trim_to is not None:
-            assert string_twin.trim_to(trim_to) == id_twin.trim_to(trim_to)
+            assert oracle.trim_to(trim_to) == volume.trim_to(trim_to)
 
-        entries = list(string_twin.iter_most_recent_first())
+        entries = list(oracle.iter_most_recent_first())
         touches = [entry.last_touch for entry in entries]
         assert touches == sorted(touches, reverse=True)
-        assert len(set(touches)) == len(touches) == len(string_twin)
-        partitioned = {
-            entry.url for fifo in string_twin._fifos.values() for entry in fifo.values()
-        }
-        assert {entry.url for entry in entries} == partitioned
+        assert len(set(touches)) == len(touches) == len(oracle)
 
-        id_entries = list(id_twin.iter_most_recent_first())
-        assert [f"h/d/u{entry[URL]}" for entry in id_entries] == [
+        ordered = list(volume.iter_most_recent_first())
+        assert [f"h/d/u{entry[URL]}" for entry in ordered] == [
             entry.url for entry in entries
         ]
-        assert [entry[LAST_TOUCH] for entry in id_entries] == touches
-        assert len(id_twin) == len(string_twin)
+        assert [entry[LAST_TOUCH] for entry in ordered] == touches
+        assert len(volume) == len(oracle)
+        partitioned = {
+            url_id for fifo in volume.fifos.values() for url_id in fifo
+        }
+        assert {entry[URL] for entry in ordered} == partitioned
 
 
 @settings(deadline=None, max_examples=60)
@@ -421,10 +440,12 @@ def test_capture_restore_is_a_fixed_point_with_order_intact(
     restore_store_state(restored, captured)
     assert capture_store_state(restored) == captured
 
+    urls = original.id_space.urls.strings
+    restored_urls = restored.id_space.urls.strings
     for key, volume in original._volumes.items():
         twin = restored._volumes[key]
-        assert [entry.url for entry in twin.iter_most_recent_first()] == [
-            entry.url for entry in volume.iter_most_recent_first()
+        assert [restored_urls[entry[URL]] for entry in twin.iter_most_recent_first()] == [
+            urls[entry[URL]] for entry in volume.iter_most_recent_first()
         ]
     # ...and the two stores keep agreeing once traffic resumes.
     for touch, (directory, index) in enumerate(steps[:10], start=len(steps)):

@@ -5,16 +5,19 @@ per-record statements with the array-backed fast paths, so every metric —
 element-wise :class:`ReplayMetrics`, RNG streams, RPV suppression, wire
 bytes, pair counters, sampling skips — must match *exactly*, for chunk
 sizes {1, 7, 4096}, for in-memory chunk lists and on-disk chunk files,
-and with state pruning forced to run at an aggressive cadence.
+and with state pruning forced to run at an aggressive cadence.  The
+in-memory baseline itself is held to the reference ``replay()`` — on the
+frozen string-keyed store from ``directory_oracle`` for directory volumes.
 """
 
 from __future__ import annotations
 
 import pytest
 
+import directory_oracle
 import repro.analysis.fastreplay as fastreplay
 from repro.analysis.fastreplay import replay_interned_multi
-from repro.analysis.prediction import ReplayConfig
+from repro.analysis.prediction import ReplayConfig, replay
 from repro.core.filters import ProxyFilter
 from repro.traces.chunked import open_chunked_trace, write_chunked_trace
 from repro.traces.intern import ChunkedCompiledTrace
@@ -23,6 +26,7 @@ from repro.volumes.directory import DirectoryVolumeConfig
 from repro.volumes.probability import (
     InternedPairwiseEstimator,
     PairwiseConfig,
+    ProbabilityVolumeStore,
     build_probability_volumes,
     estimate_pairwise,
 )
@@ -74,7 +78,19 @@ def baseline(small_server_log, entries):
     return replay_interned_multi(trace, entries)
 
 
+def _reference(trace, store_config, config):
+    if isinstance(store_config, DirectoryVolumeConfig):
+        store = directory_oracle.DirectoryVolumeStore(store_config)
+    else:
+        store = ProbabilityVolumeStore(store_config)
+    return replay(trace, store, config)
+
+
 class TestStreamingReplay:
+    def test_baseline_matches_reference(self, small_server_log, entries, baseline):
+        trace, _ = small_server_log
+        assert baseline == [_reference(trace, store, config) for store, config in entries]
+
     @pytest.mark.parametrize("chunk_records", CHUNK_SIZES)
     def test_memory_chunks_bit_identical(self, records, entries, baseline, chunk_records):
         chunked = ChunkedCompiledTrace.from_records(records, chunk_records=chunk_records)

@@ -26,7 +26,13 @@ from repro.httpwire.netserver import PiggybackHttpServer, synthetic_body
 from repro.proxy.proxy import ProxyConfig
 from repro.server.resources import ResourceStore
 from repro.server.server import PiggybackServer
-from repro.volumes.directory import DirectoryVolumeConfig, DirectoryVolumeStore
+from repro.volumes.directory import (
+    ACCESS_COUNT,
+    LAST_TOUCH,
+    URL,
+    DirectoryVolumeConfig,
+    DirectoryVolumeStore,
+)
 from repro.workloads.sitegen import SiteConfig, generate_site
 
 HOST = "www.stress.example"
@@ -56,6 +62,7 @@ def body_validator(sizes):
 
 def assert_volume_invariants(store, observed_requests):
     """Structural invariants of a DirectoryVolumeStore after concurrency."""
+    urls = store.id_space.urls.strings
     seen_urls = {}
     total_accesses = 0
     for key, volume in store._volumes.items():
@@ -63,21 +70,22 @@ def assert_volume_invariants(store, observed_requests):
         # The volume-wide recency order indexes exactly the partitions'
         # entries, strictly by last touch.
         ordered = list(volume.iter_most_recent_first())
-        touches = [entry.last_touch for entry in ordered]
+        touches = [entry[LAST_TOUCH] for entry in ordered]
         assert touches == sorted(set(touches), reverse=True)
-        assert sorted(entry.url for entry in ordered) == sorted(
-            url for fifo in volume._fifos.values() for url in fifo
+        assert sorted(entry[URL] for entry in ordered) == sorted(
+            url_id for fifo in volume.fifos.values() for url_id in fifo
         )
-        for partition, fifo in volume._fifos.items():
-            for url, entry in fifo.items():
-                assert entry.url == url
-                assert entry.access_count >= 1
+        for partition, fifo in volume.fifos.items():
+            for url_id, entry in fifo.items():
+                assert entry[URL] == url_id
+                assert entry[ACCESS_COUNT] >= 1
+                url = urls[url_id]
                 assert (
                     url not in seen_urls
                 ), f"{url} in two volumes/partitions: {seen_urls[url]} and {(key, partition)}"
                 seen_urls[url] = (key, partition)
                 assert store.volume_key(url) == key
-                total_accesses += entry.access_count
+                total_accesses += entry[ACCESS_COUNT]
     # Every observed request touched exactly one entry exactly once.
     assert total_accesses == observed_requests
 
