@@ -33,6 +33,7 @@ from ..volumes.thinning import (
 )
 from .interarrival import PrefixLocality, directory_locality
 from .metrics import ReplayMetrics
+from .pairwise import implication_probabilities
 from .prediction import ReplayConfig, replay_many
 
 __all__ = [
@@ -263,15 +264,6 @@ def _replay_probability(
     return replay_many(trace, [(volumes, config)], engine=engine)[0]
 
 
-def _estimator_for(trace: Trace, window: float, engine: str):
-    """The pairwise estimator for *engine*, fully run over *trace*."""
-    if engine == "fast":
-        return estimate_pairwise(trace, PairwiseConfig(window=window))
-    estimator = PairwiseEstimator(PairwiseConfig(window=window))
-    estimator.observe_trace(trace)
-    return estimator
-
-
 def fig6_fig7_fig8_probability(
     trace: Trace,
     thresholds=DEFAULT_THRESHOLDS,
@@ -286,7 +278,7 @@ def fig6_fig7_fig8_probability(
     all thresholds are materialized from one implication enumeration, and
     every (threshold, variant) cell is scored in one replay pass.
     """
-    estimator = _estimator_for(trace, window, engine)
+    estimator = estimate_pairwise(trace, PairwiseConfig(window=window))
     bases = build_probability_volumes_multi(estimator, thresholds)
     cells = []
     entries = []
@@ -323,12 +315,9 @@ def fig5a_fraction_vs_threshold(
     return fig6_fig7_fig8_probability(trace, thresholds=thresholds, window=window)
 
 
-def fig5b_implication_cdf(
-    trace: Trace, window: float = 300.0, engine: str = "fast"
-) -> list[float]:
+def fig5b_implication_cdf(trace: Trace, window: float = 300.0) -> list[float]:
     """Figure 5(b): the distribution of implication probabilities."""
-    estimator = _estimator_for(trace, window, engine)
-    return sorted(imp.probability for imp in estimator.implications(0.0))
+    return implication_probabilities(trace, window)
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +354,7 @@ def table1_update_fraction(
     engine: str = "fast",
 ) -> Table1Row:
     """Table 1: update fractions for thinned probability volumes."""
-    estimator = _estimator_for(trace, window, engine)
+    estimator = estimate_pairwise(trace, PairwiseConfig(window=window))
     base = build_probability_volumes(estimator, probability_threshold)
     effectiveness = measure_effectiveness(trace, base, window=window)
     volumes = thin_by_effectiveness(base, effectiveness, effectiveness_threshold)
@@ -419,7 +408,7 @@ def sec23_overhead(
 ) -> OverheadSummary:
     """Measure piggyback sizes in bytes against the paper's 66 B/element
     budget and the claim that messages usually avoid extra packets."""
-    estimator = _estimator_for(trace, window, engine)
+    estimator = estimate_pairwise(trace, PairwiseConfig(window=window))
     volumes = build_probability_volumes(estimator, probability_threshold)
     metrics = replay_many(
         trace,
@@ -483,7 +472,7 @@ def sec4_prefetch_tradeoffs(
     are opened predictions that never come true; the bandwidth increase
     estimates futile fetches relative to demand fetches.
     """
-    estimator = _estimator_for(trace, window, engine)
+    estimator = estimate_pairwise(trace, PairwiseConfig(window=window))
     bases = build_probability_volumes_multi(estimator, thresholds)
     config = ReplayConfig(
         prediction_window=window, history_window=7200.0, max_elements=200

@@ -3,9 +3,9 @@
 This is the high-throughput twin of :func:`repro.analysis.prediction.replay`.
 It operates on a :class:`~repro.traces.intern.CompiledTrace` (dense integer
 ids, columnar arrays) and volume stores maintained on the trace's ids (a
-:class:`~repro.volumes.directory.DirectoryVolumeStore` built on the
-trace's id space, or an
-:class:`~repro.volumes.interned.InternedProbabilityStore`), and it can
+:class:`~repro.volumes.directory.DirectoryVolumeStore` or a
+:class:`~repro.volumes.probability.ProbabilityVolumeStore` built on the
+trace's id space: the same classes the origin serves from), and it can
 score several
 :class:`~repro.analysis.prediction.ReplayConfig` filter configurations in a
 *single* pass over the trace: per-record work that is independent of the
@@ -36,9 +36,10 @@ Two additional rewrites make the per-request cost low:
   ``CandidateElement``/``ProxyFilter``/``PiggybackMessage`` objects are
   constructed per request;
 * for probability volumes the *filtered piggyback message* per
-  (configuration, antecedent) is cached and reused until volume
-  maintenance invalidates it, because admission there depends only on
-  static criteria plus rarely-changing resource metadata.
+  (configuration, antecedent) is cached and reused while admission
+  depends only on static criteria; a configuration that filters on
+  resource size also checks the volume's epoch, which the store bumps
+  whenever a member's size changes.
 """
 
 from __future__ import annotations
@@ -50,7 +51,8 @@ from ..core.rpv import RpvList
 from ..traces.intern import ChunkedCompiledTrace, CompiledTrace, compile_trace
 from ..traces.records import Trace
 from ..volumes.directory import ACCESS_COUNT, CONTENT_TYPE, SIZE, URL
-from ..volumes.interned import InternedProbabilityStore, build_interned_store
+from ..volumes.interned import build_interned_store
+from ..volumes.probability import ProbabilityVolumeStore
 from ..telemetry import REGISTRY
 from .metrics import ReplayMetrics
 from .prediction import ReplayConfig
@@ -160,13 +162,13 @@ class _Slot:
             else frozenset()
         )
         # A cached message stays valid while admission is static: access
-        # counts must come from the precounted totals (or not matter) and
-        # size-based admission is handled by dirty-driven invalidation.
-        self.cacheable = isinstance(store, InternedProbabilityStore) and (
+        # counts must come from the precounted totals (or not matter), and
+        # size-based admission is checked against the volume's epoch.
+        self.cacheable = type(store) is ProbabilityVolumeStore and (
             config.access_filter == 0 or self.precounts is not None
         )
         self.size_sensitive = self.max_resource_size is not None
-        self.message_cache: dict[int, tuple[tuple[int, ...], int]] = {}
+        self.message_cache: dict[int, tuple[tuple[int, ...], int, int]] = {}
 
     def state_for(self, source_id: int) -> _FastSourceState:
         state = self.states.get(source_id)
@@ -191,10 +193,10 @@ def replay_interned_multi(
     """Score many (store, config) pairs in one pass over *trace*.
 
     ``entries`` is a sequence of ``(store_or_config, ReplayConfig)`` pairs.
-    A :class:`~repro.volumes.directory.DirectoryVolumeConfig` replays a
-    fresh directory store; a directory store instance is replayed itself
-    (it must hold no entries yet, or live on this trace's id space); a
-    probability artifact or store replays an id-space copy of its volumes.
+    A :class:`~repro.volumes.directory.DirectoryVolumeConfig` or a
+    :class:`~repro.volumes.probability.ProbabilityVolumes` artifact replays
+    a fresh store; a directory or probability store instance is replayed
+    itself (it must hold no state yet, or live on this trace's id space).
     :func:`repro.volumes.interned.build_interned_store` has the details,
     and raises ``UnsupportedStoreError`` for anything else.  Entries sharing
     a store object (by identity) share its maintenance work.  Passing a
@@ -218,30 +220,15 @@ def _replay_compiled_multi(
 ) -> list[ReplayMetrics]:
     compiled = compile_trace(trace)
     slots: list[_Slot] = []
+    # One replayed store per distinct store/config object, in first-seen
+    # order, so multi-config entries keep shared maintenance.
     source_identity = IdentityIndex()
-    interned_cache: dict[int, object] = {}
+    stores: list = []
     for store_like, config in entries:
-        if isinstance(store_like, InternedProbabilityStore):
-            store = store_like
-        else:
-            # Share one replayed store per distinct store/config object so
-            # multi-config entries keep shared maintenance.
-            key = source_identity.index_of(store_like)
-            store = interned_cache.get(key)
-            if store is None:
-                store = build_interned_store(compiled, store_like)
-                interned_cache[key] = store
-        slots.append(_Slot(compiled, store, config))
-
-    store_identity = IdentityIndex()
-    slot_store_keys = [store_identity.index_of(slot.store) for slot in slots]
-    stores = store_identity.objects  # distinct stores, first-seen order
-    # Size-dirty invalidation is only needed for slots whose admission
-    # depends on resource size; map each such store to those slots.
-    size_watchers: dict[int, list[_Slot]] = {}
-    for slot, store_key in zip(slots, slot_store_keys):
-        if slot.cacheable and slot.size_sensitive:
-            size_watchers.setdefault(store_key, []).append(slot)
+        key = source_identity.index_of(store_like)
+        if key == len(stores):
+            stores.append(build_interned_store(compiled, store_like))
+        slots.append(_Slot(compiled, stores[key], config))
 
     wire = compiled.wire_bytes()
     type_ids = compiled.content_type_ids()
@@ -251,7 +238,7 @@ def _replay_compiled_multi(
         last_time: float | None = None
         for chunk in compiled.chunks():
             _replay_batch(
-                slots, stores, size_watchers, wire, type_ids,
+                slots, stores, wire, type_ids,
                 chunk.timestamps, chunk.source_ids, chunk.url_ids, chunk.sizes,
             )
             since_prune += len(chunk)
@@ -262,7 +249,7 @@ def _replay_compiled_multi(
                 since_prune = 0
     else:
         _replay_batch(
-            slots, stores, size_watchers, wire, type_ids,
+            slots, stores, wire, type_ids,
             compiled.timestamps, compiled.source_ids, compiled.url_ids,
             compiled.sizes,
         )
@@ -273,7 +260,6 @@ def _replay_compiled_multi(
 def _replay_batch(
     slots: list[_Slot],
     stores: list,
-    size_watchers: dict[int, list[_Slot]],
     wire: list[int],
     type_ids: list[int],
     timestamps,
@@ -326,18 +312,8 @@ def _replay_batch(
 
         # -- 2. volume maintenance (once per distinct store) ---------------
         size = sizes[index]
-        for store_key, store in enumerate(stores):
+        for store in stores:
             store.observe_id(url, size)
-            dirty = getattr(store, "size_dirty", None)
-            if dirty:
-                watchers = size_watchers.get(store_key)
-                if watchers:
-                    for url_id in dirty:
-                        for slot in watchers:
-                            cache = slot.message_cache
-                            for antecedent in store.containing(url_id):
-                                cache.pop(antecedent, None)
-                del dirty[:]
 
         # -- 3+4. filter, account, open predictions, per configuration -----
         for slot in slots:
@@ -348,17 +324,20 @@ def _replay_batch(
             metrics = slot.metrics
             limit = slot.max_elements
 
-            if type(store) is InternedProbabilityStore:
-                members = store.members.get(url)
-                if members is None:
-                    continue
-                volume_id = store.volume_id_of(url)
-                rpv = _rpv_for(slot, source, now)
-                if rpv is not None and volume_id in rpv.active_ids(now):
-                    continue
-                if limit == 0:
-                    continue
+            result = store.lookup_id(url)
+            if result is None:
+                continue
+            volume_id, candidates = result
+            rpv = _rpv_for(slot, source, now)
+            if rpv is not None and volume_id in rpv.active_ids(now):
+                continue
+            if limit == 0:
+                continue
+
+            if type(store) is ProbabilityVolumeStore:
                 cached = slot.message_cache.get(url) if slot.cacheable else None
+                if cached is not None and slot.size_sensitive and cached[2] != store.epoch_of(url):
+                    cached = None
                 if cached is None:
                     admitted: list[int] = []
                     wire_total = VOLUME_ID_BYTES
@@ -369,7 +348,7 @@ def _replay_batch(
                     excluded = slot.excluded_type_ids
                     store_sizes = store.sizes
                     store_counts = store.access_counts
-                    for consequent, probability in members:
+                    for consequent, probability in candidates:
                         if consequent == url:
                             continue
                         if counts is not None:
@@ -387,20 +366,11 @@ def _replay_batch(
                         wire_total += wire[consequent]
                         if limit is not None and len(admitted) >= limit:
                             break
-                    cached = (tuple(admitted), wire_total)
+                    cached = (tuple(admitted), wire_total, store.epoch_of(url))
                     if slot.cacheable:
                         slot.message_cache[url] = cached
-                element_ids, wire_total = cached
+                element_ids, wire_total, _ = cached
             else:
-                result = store.lookup_id(url)
-                if result is None:
-                    continue
-                volume_id, candidates = result
-                rpv = _rpv_for(slot, source, now)
-                if rpv is not None and volume_id in rpv.active_ids(now):
-                    continue
-                if limit == 0:
-                    continue
                 admitted = []
                 wire_total = VOLUME_ID_BYTES
                 counts = slot.precounts

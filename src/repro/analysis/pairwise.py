@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from ..traces.records import Trace
 from ..volumes.probability import (
     PairwiseConfig,
-    PairwiseEstimator,
     ProbabilityVolumes,
     build_probability_volumes,
+    estimate_pairwise,
 )
 from ..volumes.thinning import (
     combine_with_directory,
@@ -51,16 +51,16 @@ def build_volumes_from_trace(
     trace: Trace, config: VolumeBuildConfig = VolumeBuildConfig()
 ) -> ProbabilityVolumes:
     """Estimate, materialize, and thin probability volumes from *trace*."""
-    estimator = PairwiseEstimator(
+    estimator = estimate_pairwise(
+        trace,
         PairwiseConfig(
             window=config.window,
             sample_counters=config.sample_counters,
             sampling_threshold=max(config.probability_threshold, 0.01),
             same_directory_level=None,
             seed=config.seed,
-        )
+        ),
     )
-    estimator.observe_trace(trace)
     volumes = build_probability_volumes(estimator, config.probability_threshold)
     if config.combine_level is not None:
         volumes = combine_with_directory(volumes, level=config.combine_level)
@@ -76,6 +76,5 @@ def implication_probabilities(trace: Trace, window: float = 300.0) -> list[float
     Returns the sorted probabilities of every pair with at least one
     co-occurrence, suitable for plotting a cumulative distribution.
     """
-    estimator = PairwiseEstimator(PairwiseConfig(window=window))
-    estimator.observe_trace(trace)
+    estimator = estimate_pairwise(trace, PairwiseConfig(window=window))
     return sorted(imp.probability for imp in estimator.implications(0.0))

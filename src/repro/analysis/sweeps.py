@@ -267,17 +267,13 @@ def threshold_sweep(
 ) -> list[SweepResult]:
     """The paper's probability-threshold sweep (Figures 5-8) as one engine run.
 
-    One interned estimator pass feeds
+    One estimator pass feeds
     :func:`build_probability_volumes_multi`, so all thresholds' volumes are
     materialized from the same counters, then every threshold replays in a
     single multi-config pass (or a parallel fan-out).
     """
     thresholds = sorted(set(thresholds))
-    compiled = compile_trace(trace) if engine == "fast" else None
-    estimator_input = compiled if compiled is not None else trace
-    estimator = estimate_pairwise(
-        estimator_input, pairwise or PairwiseConfig(window=window)
-    )
+    estimator = estimate_pairwise(trace, pairwise or PairwiseConfig(window=window))
     volumes = build_probability_volumes_multi(estimator, thresholds)
     base = ReplayConfig(
         prediction_window=window,
@@ -293,12 +289,7 @@ def threshold_sweep(
         )
         for threshold in thresholds
     ]
-    return run_sweep(
-        compiled if compiled is not None else trace,
-        points,
-        engine=engine,
-        processes=processes,
-    )
+    return run_sweep(trace, points, engine=engine, processes=processes)
 
 
 def directory_sweep(

@@ -468,23 +468,27 @@ class ChunkedCompiledTrace(_InternedColumns):
 CompiledLike = Union[CompiledTrace, ChunkedCompiledTrace]
 
 
-def growing_id_space(name: str, level: int) -> ChunkedCompiledTrace:
+def growing_id_space(name: str, level: int | None = None) -> ChunkedCompiledTrace:
     """An empty id space for an owner that interns URLs as they arrive.
 
-    Its content-type column and level-*level* prefix column are built up
-    front, so :meth:`ensure_url` extends them.  The tables it grows are
-    the owner's mutable state: with ``REPRO_RACE`` on they are
-    race-checked under *name*, like the owner's other shared containers.
+    Its content-type column and (unless *level* is None) its level-*level*
+    prefix column are built up front, so :meth:`ensure_url` extends them.
+    The tables it grows are the owner's mutable state: with ``REPRO_RACE``
+    on they are race-checked under *name*, like the owner's other shared
+    containers.
     """
     space = ChunkedCompiledTrace()
     space.content_type_ids()
-    prefixes = space.directory_prefix_table(level)
-    for table in (space.urls, space.content_types, prefixes):
+    tables = [space.urls, space.sources, space.content_types]
+    if level is not None:
+        tables.append(space.directory_prefix_table(level))
+    for table in tables:
         table._ids = share(table._ids, f"{name}.ids")
         table._strings = share(table._strings, f"{name}.strings")
-    space._prefix_columns[level] = (
-        prefixes, share(space.directory_prefix_ids(level), f"{name}.prefix_ids")
-    )
+    if level is not None:
+        space._prefix_columns[level] = (
+            tables[-1], share(space.directory_prefix_ids(level), f"{name}.prefix_ids")
+        )
     space._content_type_ids = share(space._content_type_ids, f"{name}.content_type_ids")
     space._url_counts = share(space._url_counts, f"{name}.url_counts")
     return space

@@ -1,4 +1,11 @@
-"""Server volume construction: directory-based, probability-based, thinning."""
+"""Server volume construction: directory-based, probability-based, thinning.
+
+Each family has one store, and probability volumes one pairwise
+estimator, all kept on the integer URL ids of an id space
+(:mod:`repro.traces.intern`).  The origin, the durable state and the fast
+replay engine use the same classes: string calls intern at the edge,
+``observe_id``/``lookup_id`` take a compiled trace's ids.
+"""
 
 from .base import VolumeIdAllocator, VolumeLookup, VolumeStore
 from .directory import DirectoryVolumeConfig, DirectoryVolumeStore

@@ -31,46 +31,45 @@ _LOCK_CREATION_GUARD = threading.Lock()
 class VolumeIdAllocator:
     """Dense allocation of 2-byte volume identifiers to volume keys.
 
-    The paper's wire format allows 32767 volumes per server; the allocator
-    raises once that space is exhausted rather than silently reusing ids.
+    One numbering, in first-use order, serves every caller under one
+    overflow rule.  The paper's wire format allows 32768 volumes per
+    server, so :meth:`id_for` -- the id a server puts on the wire --
+    raises once that space is exhausted rather than mint or hand out an id
+    past it.  :meth:`index_for` numbers on without bound: offline replay
+    never puts a volume id on the wire, and long traces need more.
     """
 
     def __init__(self) -> None:
-        self._ids: dict[str, int] = {}
+        self._ids: dict = {}
 
     def __len__(self) -> int:
         return len(self._ids)
 
-    def __contains__(self, key: str) -> bool:
-        return key in self._ids
-
-    def id_for(self, key: str) -> int:
+    def index_for(self, key) -> int:
         """Return the id for *key*, allocating the next one if new."""
         existing = self._ids.get(key)
-        if existing is not None:
-            return existing
-        next_id = len(self._ids)
-        if next_id > MAX_VOLUME_ID:
-            raise OverflowError(
-                f"volume id space exhausted ({MAX_VOLUME_ID + 1} volumes)"
-            )
-        self._ids[key] = next_id
-        return next_id
+        if existing is None:
+            existing = self._ids[key] = len(self._ids)
+        return existing
 
-    def known_keys(self) -> set[str]:
-        return set(self._ids)
+    def id_for(self, key) -> int:
+        """Like :meth:`index_for`, but only for ids the wire can carry."""
+        volume_id = self._ids.get(key, len(self._ids))
+        if volume_id > MAX_VOLUME_ID:
+            raise OverflowError(f"volume id space exhausted ({MAX_VOLUME_ID + 1} volumes)")
+        return self._ids.setdefault(key, volume_id)
 
-    def assignments(self) -> dict[str, int]:
+    def assignments(self) -> dict:
         """Current key -> id mapping, in allocation order (for persistence)."""
         return dict(self._ids)
 
-    def restore(self, assignments: dict[str, int]) -> None:
+    def restore(self, assignments: dict) -> None:
         """Replace the mapping with a persisted one.
 
         The mapping must be dense (ids 0..n-1): ids are allocated densely,
         so anything else is a corrupt artifact.
         """
-        ids = {str(key): int(value) for key, value in assignments.items()}
+        ids = {key: int(value) for key, value in assignments.items()}
         if sorted(ids.values()) != list(range(len(ids))):
             raise ValueError("allocator mapping is not dense")
         self._ids = ids

@@ -295,7 +295,10 @@ class DirectoryVolumeStore(VolumeStore):
         )
 
     def lookup_id(self, url_id: int) -> tuple[int, Iterator[list]] | None:
-        """Volume id and raw entries, most recently touched first, or None."""
+        """Volume id and raw entries, most recently touched first, or None.
+
+        The id is numbered past the wire's cap: replay never sends it.
+        """
         try:
             key = self._key_of[url_id]
         except IndexError:
@@ -303,7 +306,7 @@ class DirectoryVolumeStore(VolumeStore):
         volume = self._volumes.get(key)
         if volume is None:
             return None
-        return self._allocator.id_for(key), volume.iter_most_recent_first()
+        return self._allocator.index_for(key), volume.iter_most_recent_first()
 
     def _candidates(self, volume: _Volume) -> Iterator[CandidateElement]:
         """*volume*'s entries as candidates, each view built once per touch."""

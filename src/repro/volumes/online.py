@@ -12,17 +12,15 @@ recently built artifact, never a half-updated structure.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
-from .. import urls
-from ..core.filters import CandidateElement
 from ..traces.records import LogRecord
-from .base import VolumeIdAllocator, VolumeLookup, VolumeStore
+from .base import VolumeStore
 from .probability import (
     PairwiseConfig,
     PairwiseEstimator,
     ProbabilityVolumes,
+    ProbabilityVolumeStore,
     build_probability_volumes,
 )
 
@@ -47,29 +45,30 @@ class OnlineVolumeConfig:
             raise ValueError("min_observations must be non-negative")
 
 
-class OnlineProbabilityVolumeStore(VolumeStore):
-    """Probability volumes rebuilt periodically from a live estimator."""
+class OnlineProbabilityVolumeStore(ProbabilityVolumeStore):
+    """Probability volumes rebuilt periodically from a live estimator.
+
+    The store and its estimator share one id space.  Between rebuilds the
+    store serves like a :class:`ProbabilityVolumeStore`, except that its
+    :meth:`lookup_version` is the store-wide one: a rebuild replaces every
+    volume at once.  For the same reason the fast replay engine, which
+    caches piggyback messages per volume, refuses to replay it.
+    """
 
     def __init__(self, config: OnlineVolumeConfig = OnlineVolumeConfig()):
+        super().__init__(ProbabilityVolumes({}))
         self.config = config
-        self.estimator = PairwiseEstimator(config.pairwise)
-        self.volumes = ProbabilityVolumes({})
+        self.estimator = PairwiseEstimator(config.pairwise, id_space=self.id_space)
         self.rebuilds = 0
         self._observations = 0
         self._next_rebuild: float | None = None
-        self._allocator = VolumeIdAllocator()
-        self._sizes: dict[str, int] = {}
-        self._mtimes: dict[str, float] = {}
-        self._access_counts: Counter[str] = Counter()
+
+    lookup_version = VolumeStore.lookup_version
 
     def observe(self, record: LogRecord) -> None:
         self.estimator.observe(record)
         self._observations += 1
-        if record.size:
-            self._sizes[record.url] = record.size
-        if record.last_modified is not None:
-            self._mtimes[record.url] = record.last_modified
-        self._access_counts[record.url] += 1
+        self.observe_id(self._url_id(record.url), record.size, record.last_modified)
 
         if self._next_rebuild is None:
             self._next_rebuild = record.timestamp + self.config.rebuild_interval
@@ -86,26 +85,5 @@ class OnlineProbabilityVolumeStore(VolumeStore):
         self.volumes = build_probability_volumes(
             self.estimator, self.config.probability_threshold
         )
+        self._translate()
         self.rebuilds += 1
-
-    def volume_count(self) -> int:
-        return len(self.volumes)
-
-    def lookup(self, url: str) -> VolumeLookup | None:
-        members = self.volumes.members_of(url)
-        if not members:
-            return None
-        candidates = tuple(
-            CandidateElement(
-                url=consequent,
-                last_modified=self._mtimes.get(consequent, 0.0),
-                size=self._sizes.get(consequent, 0),
-                access_count=self._access_counts.get(consequent, 0),
-                probability=probability,
-                content_type=urls.content_type_of(consequent),
-            )
-            for consequent, probability in members
-        )
-        return VolumeLookup(
-            volume_id=self._allocator.id_for(url), candidates=candidates
-        )

@@ -11,6 +11,13 @@ can need ``n^2`` counters, counter creation can be *sampled*: a missing
 counter is instantiated with probability inversely proportional to
 ``freq(r) * p_t``, so pairs that co-occur often still obtain accurate
 estimates while rare coincidences usually never allocate state.
+
+One estimator and one store serve every user, both on the integer URL
+ids of an *id space* (a :mod:`compiled trace <repro.traces.intern>`'s
+symbol tables and per-URL columns).  String entry points intern at the
+edge, for the origin and the durable state; ``run``, ``observe_id`` and
+``lookup_id`` take a compiled trace's own ids, for offline estimation
+and the fast replay engine.
 """
 
 from __future__ import annotations
@@ -20,16 +27,20 @@ from collections import Counter, deque
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
-from .. import urls
 from ..core.filters import CandidateElement
-from ..traces.intern import ChunkedCompiledTrace, CompiledTrace, compile_trace
+from ..traces.intern import (
+    ChunkedCompiledTrace,
+    CompiledLike,
+    CompiledTrace,
+    compile_trace,
+    growing_id_space,
+)
 from ..traces.records import LogRecord, Trace
 from .base import VolumeIdAllocator, VolumeLookup, VolumeStore, VolumeVersion
 
 __all__ = [
     "PairwiseConfig",
     "PairwiseEstimator",
-    "InternedPairwiseEstimator",
     "estimate_pairwise",
     "Implication",
     "ProbabilityVolumes",
@@ -78,32 +89,53 @@ class Implication:
     probability: float
 
 
-class _Occurrence:
-    """A live occurrence of a resource inside a source's window."""
-
-    __slots__ = ("timestamp", "url", "credited")
-
-    def __init__(self, timestamp: float, url: str):
-        self.timestamp = timestamp
-        self.url = url
-        self.credited: set[str] = set()
-
-
 class PairwiseEstimator:
     """Streaming estimator of ``p(s|r)`` over per-source windows.
 
-    Feed requests in time order with :meth:`observe`; read off estimates
-    with :meth:`probability` or enumerate implications above a threshold
-    with :meth:`implications`.
+    Feed requests in time order with :meth:`observe`, or consume the
+    records of the compiled trace given as *id_space* with :meth:`run`
+    (both run :meth:`_observe_batch`, so estimates are bit-identical);
+    read off estimates with :meth:`probability` or :meth:`implications`.
+    Without *id_space* the estimator grows its own.  Pair counters are
+    keyed by one packed int of URL ids, and directory agreement is an id
+    comparison against a prefix column.
+
+    Over a :class:`ChunkedCompiledTrace` (including one bound to an
+    on-disk chunk file), :meth:`run` streams chunk by chunk and
+    periodically drops per-source windows whose entries have all aged out
+    (a drained window and a missing one behave identically), keeping
+    resident state at O(active sources + counters).
     """
 
-    def __init__(self, config: PairwiseConfig = PairwiseConfig()):
+    _KEY_SHIFT = 32  # url-id spaces are far below 2^32
+
+    #: Streaming runs prune idle per-source windows every this many records.
+    PRUNE_INTERVAL_RECORDS = 1 << 18
+
+    def __init__(
+        self,
+        config: PairwiseConfig = PairwiseConfig(),
+        id_space: CompiledLike | None = None,
+    ):
         self.config = config
-        self._windows: dict[str, deque[_Occurrence]] = {}
-        self._occurrences: Counter[str] = Counter()
-        self._pair_counts: dict[tuple[str, str], int] = {}
+        level = config.same_directory_level
+        if id_space is None:
+            id_space = growing_id_space("PairwiseEstimator.id_space", level)
+        self._id_space = id_space
+        self._windows: dict[int, deque[list]] = {}
+        self._occurrences: list[int] = [0] * len(id_space.urls)
+        self._pair_counts: dict[int, int] = {}
         self._rng = random.Random(config.seed)
         self._skipped_pairs = 0
+        self._position = 0
+        self._prefix_ids: list[int] | None = (
+            id_space.directory_prefix_ids(level) if level is not None else None
+        )
+
+    @property
+    def id_space(self) -> CompiledLike:
+        """The id space whose records :meth:`run` consumes."""
+        return self._id_space
 
     @property
     def counter_count(self) -> int:
@@ -116,153 +148,32 @@ class PairwiseEstimator:
         return self._skipped_pairs
 
     def occurrence_count(self, url: str) -> int:
-        return self._occurrences.get(url, 0)
-
-    def _same_directory(self, first: str, second: str) -> bool:
-        level = self.config.same_directory_level
-        if level is None:
-            return True
-        return urls.directory_prefix(first, level) == urls.directory_prefix(second, level)
-
-    def _credit(self, antecedent: str, consequent: str) -> None:
-        key = (antecedent, consequent)
-        count = self._pair_counts.get(key)
-        if count is not None:
-            self._pair_counts[key] = count + 1
-            return
-        if self.config.sample_counters:
-            frequency = max(self._occurrences.get(antecedent, 1), 1)
-            probability = min(
-                1.0,
-                self.config.sampling_constant
-                / (frequency * self.config.sampling_threshold),
-            )
-            if self._rng.random() >= probability:
-                self._skipped_pairs += 1
-                return
-        self._pair_counts[key] = 1
+        url_id = self._id_space.urls.id_of(url)
+        if url_id is None or url_id >= len(self._occurrences):
+            return 0
+        return self._occurrences[url_id]
 
     def observe(self, record: LogRecord) -> None:
         """Account one request; must be called in non-decreasing time order."""
-        window = self._windows.get(record.source)
-        if window is None:
-            window = deque()
-            self._windows[record.source] = window
-        cutoff = record.timestamp - self.config.window
-        while window and window[0].timestamp < cutoff:
-            window.popleft()
-        admitted = self.config.pair_admitted
-        for occurrence in window:
-            if occurrence.url == record.url:
-                continue
-            if record.url in occurrence.credited:
-                continue
-            if not self._same_directory(occurrence.url, record.url):
-                continue
-            if admitted is not None and not admitted(occurrence.url, record.url):
-                continue
-            occurrence.credited.add(record.url)
-            self._credit(occurrence.url, record.url)
-        self._occurrences[record.url] += 1
-        window.append(_Occurrence(record.timestamp, record.url))
+        space = self._id_space
+        url_id = space.ensure_url(record.url)
+        occurrences = self._occurrences
+        if url_id >= len(occurrences):
+            occurrences.extend([0] * (len(space.urls) - len(occurrences)))
+        source_id = space.sources.intern(record.source)
+        self._observe_batch((record.timestamp,), (source_id,), (url_id,), 0, 1)
 
     def observe_trace(self, records: Iterable[LogRecord]) -> None:
         for record in records:
             self.observe(record)
 
-    def probability(self, antecedent: str, consequent: str) -> float:
-        """Current estimate of p(consequent | antecedent)."""
-        occurrences = self._occurrences.get(antecedent, 0)
-        if occurrences == 0:
-            return 0.0
-        return self._pair_counts.get((antecedent, consequent), 0) / occurrences
-
-    def implications(self, threshold: float = 0.0) -> list[Implication]:
-        """All implications with probability >= *threshold*, sorted.
-
-        Sorted by antecedent then descending probability, so volume
-        construction is deterministic.
-        """
-        if not 0.0 <= threshold <= 1.0:
-            raise ValueError("threshold must be in [0, 1]")
-        results = []
-        for (antecedent, consequent), count in self._pair_counts.items():
-            occurrences = self._occurrences.get(antecedent, 0)
-            if occurrences == 0:
-                continue
-            probability = count / occurrences
-            if probability >= threshold:
-                results.append(Implication(antecedent, consequent, probability))
-        results.sort(key=lambda imp: (imp.antecedent, -imp.probability, imp.consequent))
-        return results
-
-
-class InternedPairwiseEstimator:
-    """Integer-id rewrite of :class:`PairwiseEstimator` over a compiled trace.
-
-    Produces *bit-identical* estimates: the iteration order, credit
-    decisions, and sampling RNG draws match the string-based estimator
-    exactly (same seed, same event sequence), so :meth:`implications`
-    returns the same :class:`Implication` list.  Per-event work drops to
-    integer hashing — pair counters are keyed by a single packed int and
-    directory agreement becomes an id comparison against a precomputed
-    prefix column instead of two URL parses.
-
-    Also accepts a :class:`ChunkedCompiledTrace` (including one bound to
-    an on-disk chunk file), in which case :meth:`run` streams chunk by
-    chunk through the same per-record statements — results stay
-    bit-identical — and periodically drops per-source windows whose
-    entries have all aged out (a drained window and a missing one behave
-    identically), keeping resident state at O(active sources + counters).
-    """
-
-    _KEY_SHIFT = 32  # url-id spaces are far below 2^32
-
-    #: Streaming runs prune idle per-source windows every this many records.
-    PRUNE_INTERVAL_RECORDS = 1 << 18
-
-    def __init__(
-        self,
-        compiled: CompiledTrace | ChunkedCompiledTrace,
-        config: PairwiseConfig = PairwiseConfig(),
-    ):
-        self.compiled = compiled
-        self.config = config
-        self._windows: dict[int, deque[list]] = {}
-        self._occurrences: list[int] = [0] * len(compiled.urls)
-        self._pair_counts: dict[int, int] = {}
-        self._rng = random.Random(config.seed)
-        self._skipped_pairs = 0
-        self._position = 0
-        self._prefix_ids: list[int] | None = (
-            compiled.directory_prefix_ids(config.same_directory_level)
-            if config.same_directory_level is not None
-            else None
-        )
-
-    @property
-    def counter_count(self) -> int:
-        return len(self._pair_counts)
-
-    @property
-    def skipped_pair_events(self) -> int:
-        return self._skipped_pairs
-
-    def occurrence_count(self, url: str) -> int:
-        url_id = self.compiled.urls.id_of(url)
-        if url_id is None or url_id >= len(self._occurrences):
-            return 0
-        return self._occurrences[url_id]
-
-    def run(self, upto: int | None = None) -> "InternedPairwiseEstimator":
-        """Consume trace records up to index *upto* (default: all); idempotent.
+    def run(self, upto: int | None = None) -> "PairwiseEstimator":
+        """Consume id-space records up to index *upto* (default: all); idempotent.
 
         Chunked traces are streamed one chunk at a time; array-backed
-        traces are consumed in a single batch.  Both paths execute the
-        same per-record statements (:meth:`_observe_batch`), so the
-        estimates are bit-identical regardless of representation.
+        traces are consumed in a single batch.
         """
-        compiled = self.compiled
+        compiled = self._id_space
         end = len(compiled) if upto is None else min(upto, len(compiled))
         if self._position >= end:
             return self
@@ -285,13 +196,8 @@ class InternedPairwiseEstimator:
                     self._prune_windows(chunk.timestamps[hi - 1])
                     since_prune = 0
         else:
-            self._observe_batch(
-                compiled.timestamps,
-                compiled.source_ids,
-                compiled.url_ids,
-                self._position,
-                end,
-            )
+            columns = compiled.timestamps, compiled.source_ids, compiled.url_ids
+            self._observe_batch(*columns, self._position, end)
             self._position = end
         return self
 
@@ -312,7 +218,7 @@ class InternedPairwiseEstimator:
 
     def _observe_batch(self, timestamps, source_ids, url_ids, lo: int, hi: int) -> None:
         """Account records ``[lo, hi)`` of the given parallel columns."""
-        url_strings = self.compiled.urls.strings
+        url_strings = self._id_space.urls.strings
         windows = self._windows
         occurrences = self._occurrences
         pair_counts = self._pair_counts
@@ -367,7 +273,7 @@ class InternedPairwiseEstimator:
             window.append([timestamp, url, set()])
 
     def probability(self, antecedent: str, consequent: str) -> float:
-        ids = self.compiled.urls
+        ids = self._id_space.urls
         a_id = ids.id_of(antecedent)
         c_id = ids.id_of(consequent)
         if a_id is None or c_id is None or a_id >= len(self._occurrences):
@@ -378,12 +284,16 @@ class InternedPairwiseEstimator:
         return self._pair_counts.get((a_id << self._KEY_SHIFT) | c_id, 0) / occurrences
 
     def implications(self, threshold: float = 0.0) -> list[Implication]:
-        """Same contract (and exact results) as the string estimator."""
+        """All implications with probability >= *threshold*, sorted.
+
+        Sorted by antecedent then descending probability, so volume
+        construction is deterministic.
+        """
         if not 0.0 <= threshold <= 1.0:
             raise ValueError("threshold must be in [0, 1]")
         shift = self._KEY_SHIFT
         mask = (1 << shift) - 1
-        strings = self.compiled.urls.strings
+        strings = self._id_space.urls.strings
         occurrences = self._occurrences
         results = []
         for key, count in self._pair_counts.items():
@@ -403,13 +313,13 @@ class InternedPairwiseEstimator:
 def estimate_pairwise(
     trace: Trace | CompiledTrace | ChunkedCompiledTrace,
     config: PairwiseConfig = PairwiseConfig(),
-) -> InternedPairwiseEstimator:
-    """Compile *trace* (memoized) and run the interned estimator over it.
+) -> PairwiseEstimator:
+    """Compile *trace* (memoized) and run the estimator over its records.
 
     Chunked traces (in-memory or file-backed) are streamed without ever
-    materializing the full record set; see :class:`InternedPairwiseEstimator`.
+    materializing the full record set; see :class:`PairwiseEstimator`.
     """
-    return InternedPairwiseEstimator(compile_trace(trace), config).run()
+    return PairwiseEstimator(config, id_space=compile_trace(trace)).run()
 
 
 class ProbabilityVolumes:
@@ -492,19 +402,17 @@ class ProbabilityVolumes:
 
 
 def build_probability_volumes(
-    estimator: PairwiseEstimator | InternedPairwiseEstimator, threshold: float
+    estimator: PairwiseEstimator, threshold: float
 ) -> ProbabilityVolumes:
     """Materialize volumes from an estimator at probability threshold."""
     members: dict[str, list[tuple[str, float]]] = {}
-    for implication in estimator.implications(threshold):
-        members.setdefault(implication.antecedent, []).append(
-            (implication.consequent, implication.probability)
-        )
+    for imp in estimator.implications(threshold):
+        members.setdefault(imp.antecedent, []).append((imp.consequent, imp.probability))
     return ProbabilityVolumes(members)
 
 
 def build_probability_volumes_multi(
-    estimator: PairwiseEstimator | InternedPairwiseEstimator,
+    estimator: PairwiseEstimator,
     thresholds: Iterable[float],
 ) -> dict[float, ProbabilityVolumes]:
     """Materialize volumes at *all* thresholds from one counter enumeration.
@@ -537,83 +445,165 @@ class ProbabilityVolumeStore(VolumeStore):
     Each antecedent resource gets its own volume id (probability volumes
     are per-resource).  ``observe`` maintains per-resource metadata (size,
     Last-Modified, access counts) used to fill piggyback elements.
+
+    *id_space* supplies the URL ids that key the translated volumes
+    (:attr:`members`) and the metadata columns (:attr:`sizes`,
+    :attr:`mtimes`, :attr:`access_counts`); the fast replay engine passes
+    the compiled trace it replays.  Without one the store grows its own.
     """
 
-    def __init__(self, volumes: ProbabilityVolumes):
+    def __init__(self, volumes: ProbabilityVolumes, id_space: CompiledLike | None = None):
         self.volumes = volumes
         self._allocator = VolumeIdAllocator()
-        self._sizes: dict[str, int] = {}
-        self._mtimes: dict[str, float] = {}
-        self._access_counts: Counter[str] = Counter()
-        # Per-antecedent cached candidate tuples.  A candidate embeds the
-        # consequent's size/mtime/access-count, so a cached tuple stays
-        # valid until ``observe`` changes one of its members — the reverse
-        # index (built lazily from the frozen volumes) finds exactly the
-        # antecedents to invalidate instead of flushing everything.
-        self._candidate_cache: dict[str, tuple[CandidateElement, ...]] = {}
-        self._containing: dict[str, tuple[str, ...]] | None = None
         # Per-antecedent epochs, bumped only on piggyback-visible changes
         # (a member's size/mtime changed, or a count crossed the ceiling).
-        self._epochs: dict[str, int] = {}
+        self._epochs: dict[int, int] = {}
+        self._bind(
+            id_space if id_space is not None
+            else growing_id_space("ProbabilityVolumeStore.id_space")
+        )
+
+    def _bind(self, id_space: CompiledLike) -> None:
+        self._id_space = id_space
+        self._type_ids = id_space.content_type_ids()
+        self.sizes, self.mtimes, self.access_counts = [], [], []
+        self._translate()
+
+    def _translate(self) -> None:
+        """Key :attr:`volumes` by id, dropping what the old keying derived."""
+        ensure = self._id_space.ensure_url
+        members: dict[int, list[tuple[int, float]]] = {}
+        for url in sorted(self.volumes.antecedents()):
+            pairs = [(ensure(consequent), p) for consequent, p in self.volumes.members_of(url)]
+            members[ensure(url)] = pairs
+        self.members = members
+        self._grow()
+        # Per-antecedent cached candidate tuples.  A candidate embeds the
+        # consequent's size/mtime/access-count, so a cached tuple stays
+        # valid until ``observe_id`` changes one of its members — the
+        # reverse index (built lazily from the members) finds exactly the
+        # antecedents to invalidate instead of flushing everything.
+        self._candidate_cache: dict[int, tuple[CandidateElement, ...]] = {}
+        self._containing: dict[int, tuple[int, ...]] | None = None
+
+    def _grow(self) -> None:
+        """Extend the metadata columns to every id the id space holds."""
+        missing = len(self._id_space.urls) - len(self.sizes)
+        if missing > 0:
+            self.sizes.extend([0] * missing)
+            self.mtimes.extend([None] * missing)
+            self.access_counts.extend([0] * missing)
+
+    @property
+    def id_space(self) -> CompiledLike:
+        """The id space whose URL ids :meth:`observe_id` takes."""
+        return self._id_space
+
+    def adopt_id_space(self, id_space: CompiledLike) -> None:
+        """Move a store that has observed and numbered nothing onto *id_space*.
+
+        Raises ValueError once it has: that state is keyed by the current
+        id space's ids.
+        """
+        if len(self._allocator) or any(self.access_counts):
+            raise ValueError("a store holding state cannot change id space")
+        self._bind(id_space)
 
     def volume_count(self) -> int:
         return len(self.volumes)
 
-    def _containing_volumes(self) -> dict[str, tuple[str, ...]]:
+    def containing(self, url_id: int) -> tuple[int, ...]:
+        """Antecedent ids whose volume contains *url_id* (reverse index)."""
         if self._containing is None:
-            self._containing = self.volumes.containing_volumes()
-        return self._containing
+            containing: dict[int, list[int]] = {}
+            for antecedent, pairs in self.members.items():
+                for consequent, _ in pairs:
+                    containing.setdefault(consequent, []).append(antecedent)
+            self._containing = {url: tuple(owners) for url, owners in containing.items()}
+        return self._containing.get(url_id, ())
 
-    def _invalidate_volumes_of(self, url: str) -> None:
-        if not self._candidate_cache:
-            return
-        cache = self._candidate_cache
-        for antecedent in self._containing_volumes().get(url, ()):
-            cache.pop(antecedent, None)
+    def epoch_of(self, url_id: int) -> int:
+        """The epoch of *url_id*'s volume, without the epoch base."""
+        return self._epochs.get(url_id, 0)
+
+    def lookup_id(self, url_id: int) -> tuple[int, list[tuple[int, float]]] | None:
+        """Volume id and (consequent id, probability) members, or None.
+
+        The id is numbered past the wire's cap: replay never sends it.
+        """
+        members = self.members.get(url_id)
+        if members is None:
+            return None
+        return self._allocator.index_for(url_id), members
+
+    # -- maintenance ---------------------------------------------------------
+
+    def _url_id(self, url: str) -> int:
+        """Intern *url* at the edge, growing the columns to cover it."""
+        url_id = self._id_space.ensure_url(url)
+        if url_id >= len(self.sizes):
+            self._grow()
+        return url_id
 
     def observe(self, record: LogRecord) -> None:
-        url = record.url
+        self.observe_id(self._url_id(record.url), record.size, record.last_modified)
+
+    def observe_id(
+        self, url_id: int, size: int, last_modified: float | None = None
+    ) -> None:
+        """Account one request for the URL with id *url_id* in :attr:`id_space`."""
         visible = False
-        if record.size and self._sizes.get(url) != record.size:
-            self._sizes[url] = record.size
+        if size and self.sizes[url_id] != size:
+            self.sizes[url_id] = size
             visible = True
-        if record.last_modified is not None and self._mtimes.get(url) != record.last_modified:
-            self._mtimes[url] = record.last_modified
+        if last_modified is not None and self.mtimes[url_id] != last_modified:
+            self.mtimes[url_id] = last_modified
             visible = True
-        self._access_counts[url] += 1
+        count = self.access_counts[url_id] + 1
+        self.access_counts[url_id] = count
         # The access count changed, so cached tuples embedding this
         # resource are stale; volumes not containing it stay cached.
-        self._invalidate_volumes_of(url)
-        if visible or self._access_counts[url] <= self._count_ceiling:
+        if self._candidate_cache:
+            cache = self._candidate_cache
+            for antecedent in self.containing(url_id):
+                cache.pop(antecedent, None)
+        if visible or count <= self._count_ceiling:
             epochs = self._epochs
-            for antecedent in self._containing_volumes().get(url, ()):
+            for antecedent in self.containing(url_id):
                 epochs[antecedent] = epochs.get(antecedent, 0) + 1
 
+    # -- reads -----------------------------------------------------------------
+
     def lookup_version(self, url: str) -> VolumeVersion | None:
-        if url not in self.volumes:
+        url_id = self._id_space.urls.id_of(url)
+        if url_id not in self.members:
             return None
         return VolumeVersion(
-            self._allocator.id_for(url), self._epoch_base + self._epochs.get(url, 0)
+            self._allocator.id_for(url_id), self._epoch_base + self._epochs.get(url_id, 0)
         )
 
     def lookup(self, url: str) -> VolumeLookup | None:
-        candidates = self._candidate_cache.get(url)
+        url_id = self._id_space.urls.id_of(url)
+        candidates = self._candidate_cache.get(url_id)
         if candidates is None:
-            members = self.volumes.members_of(url)
-            if not members:
+            members = self.members.get(url_id)
+            if members is None:
                 return None
+            urls = self._id_space.urls.strings
+            types = self._id_space.content_types.strings
+            mtimes = self.mtimes
             candidates = tuple(
                 CandidateElement(
-                    url=consequent,
-                    last_modified=self._mtimes.get(consequent, 0.0),
-                    size=self._sizes.get(consequent, 0),
-                    access_count=self._access_counts.get(consequent, 0),
+                    url=urls[consequent],
+                    last_modified=mtimes[consequent] if mtimes[consequent] is not None else 0.0,
+                    size=self.sizes[consequent],
+                    access_count=self.access_counts[consequent],
                     probability=probability,
-                    content_type=urls.content_type_of(consequent),
+                    content_type=types[self._type_ids[consequent]],
                 )
                 for consequent, probability in members
             )
-            self._candidate_cache[url] = candidates
+            self._candidate_cache[url_id] = candidates
         return VolumeLookup(
-            volume_id=self._allocator.id_for(url), candidates=candidates
+            volume_id=self._allocator.id_for(url_id), candidates=candidates
         )

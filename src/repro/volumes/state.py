@@ -24,14 +24,14 @@ iteration order and sampling RNG draws) matches the original exactly.
 from __future__ import annotations
 
 import random
-from collections import Counter, OrderedDict, deque
+from collections import OrderedDict, deque
 from typing import Any
 
 from .base import VolumeStore
 from .directory import ACCESS_COUNT, CONTENT_TYPE, LAST_MODIFIED, LAST_TOUCH, SIZE, URL
 from .directory import DirectoryVolumeStore, _Volume
 from .online import OnlineProbabilityVolumeStore
-from .probability import PairwiseEstimator, ProbabilityVolumes, ProbabilityVolumeStore, _Occurrence
+from .probability import PairwiseEstimator, ProbabilityVolumes, ProbabilityVolumeStore
 
 __all__ = [
     "StateCodecError",
@@ -95,21 +95,26 @@ def capture_estimator_state(estimator: PairwiseEstimator) -> dict[str, Any]:
 
     Windows (with per-occurrence credited sets, serialized sorted) and
     the sampling RNG are included, so restored estimates *and* restored
-    future crediting/sampling decisions match the original stream.
+    future crediting/sampling decisions match the original stream.  Like
+    every layout here it holds source and URL strings, never ids.
     """
-    windows = {
-        source: [
-            [occ.timestamp, occ.url, sorted(occ.credited)]
-            for occ in window
-        ]
-        for source, window in estimator._windows.items()
-    }
+    urls = estimator.id_space.urls.strings
+    sources = estimator.id_space.sources.strings
+    shift = estimator._KEY_SHIFT
     return {
-        "windows": windows,
-        "occurrences": dict(estimator._occurrences),
+        "windows": {
+            sources[source]: [
+                [timestamp, urls[url], sorted(urls[other] for other in credited)]
+                for timestamp, url, credited in window
+            ]
+            for source, window in estimator._windows.items()
+        },
+        "occurrences": {
+            urls[url]: count for url, count in enumerate(estimator._occurrences) if count
+        },
         "pair_counts": [
-            [antecedent, consequent, count]
-            for (antecedent, consequent), count in estimator._pair_counts.items()
+            [urls[key >> shift], urls[key & ((1 << shift) - 1)], count]
+            for key, count in estimator._pair_counts.items()
         ],
         "rng": _rng_state_payload(estimator._rng),
         "skipped_pairs": estimator._skipped_pairs,
@@ -120,22 +125,24 @@ def restore_estimator_state(
     estimator: PairwiseEstimator, payload: dict[str, Any]
 ) -> None:
     """Load captured state into a freshly configured estimator."""
-    windows: dict[str, deque[_Occurrence]] = {}
-    for source, entries in payload["windows"].items():
-        window: deque[_Occurrence] = deque()
-        for timestamp, url, credited in entries:
-            occurrence = _Occurrence(float(timestamp), str(url))
-            occurrence.credited = set(credited)
-            window.append(occurrence)
-        windows[source] = window
-    estimator._windows = windows
-    estimator._occurrences = Counter(
-        {str(url): int(count) for url, count in payload["occurrences"].items()}
-    )
+    intern_url = estimator.id_space.ensure_url
+    intern_source = estimator.id_space.sources.intern
+    estimator._windows = {
+        intern_source(str(source)): deque(
+            [float(timestamp), intern_url(str(url)), {intern_url(str(o)) for o in credited}]
+            for timestamp, url, credited in entries
+        )
+        for source, entries in payload["windows"].items()
+    }
+    shift = estimator._KEY_SHIFT
     estimator._pair_counts = {
-        (str(antecedent), str(consequent)): int(count)
+        (intern_url(str(antecedent)) << shift) | intern_url(str(consequent)): int(count)
         for antecedent, consequent, count in payload["pair_counts"]
     }
+    counts = {intern_url(str(url)): int(count) for url, count in payload["occurrences"].items()}
+    estimator._occurrences = [0] * len(estimator.id_space.urls)
+    for url_id, count in counts.items():
+        estimator._occurrences[url_id] = count
     estimator._rng.setstate(_rng_state_restore(payload["rng"]))
     estimator._skipped_pairs = int(payload["skipped_pairs"])
 
@@ -231,48 +238,60 @@ def _members_restore(payload: list[list[Any]]) -> ProbabilityVolumes:
     )
 
 
-def _metadata_payload(store: Any) -> dict[str, Any]:
+# Metadata columns: (name, payload conversion, value of an unset entry).
+_METADATA = (("sizes", int, 0), ("mtimes", float, None), ("access_counts", int, 0))
+
+
+def _served_payload(store: ProbabilityVolumeStore) -> dict[str, Any]:
+    """The layout both probability stores share, keyed by URL strings."""
+    urls = store.id_space.urls.strings
+    columns = {
+        name: {urls[url_id]: value for url_id, value in enumerate(getattr(store, name))
+               if value != unset}
+        for name, _, unset in _METADATA
+    }
     return {
-        "sizes": dict(store._sizes),
-        "mtimes": dict(store._mtimes),
-        "access_counts": dict(store._access_counts),
+        **_base_payload(store),
+        **columns,
+        "allocator": {urls[url_id]: volume_id
+                      for url_id, volume_id in store._allocator.assignments().items()},
+        "members": _members_payload(store.volumes),
     }
 
 
-def _metadata_restore(store: Any, payload: dict[str, Any]) -> None:
-    store._sizes = {str(url): int(size) for url, size in payload["sizes"].items()}
-    store._mtimes = {str(url): float(when) for url, when in payload["mtimes"].items()}
-    store._access_counts = Counter(
-        {str(url): int(count) for url, count in payload["access_counts"].items()}
+def _served_restore(store: ProbabilityVolumeStore, payload: dict[str, Any]) -> None:
+    _base_restore(store, payload)
+    store.volumes = _members_restore(payload["members"])
+    store._translate()
+    intern_url = store.id_space.ensure_url
+    store._allocator.restore(
+        {intern_url(str(url)): volume_id for url, volume_id in payload["allocator"].items()}
     )
+    store.sizes, store.mtimes, store.access_counts = [], [], []
+    store._grow()
+    for name, convert, _ in _METADATA:
+        column = getattr(store, name)  # _url_id grows it in place
+        for url, value in payload[name].items():
+            column[store._url_id(str(url))] = convert(value)
 
 
 def _capture_probability(store: ProbabilityVolumeStore) -> dict[str, Any]:
+    urls = store.id_space.urls.strings
     return {
-        **_base_payload(store),
-        **_metadata_payload(store),
-        "allocator": store._allocator.assignments(),
-        "members": _members_payload(store.volumes),
-        "epochs": dict(store._epochs),
+        **_served_payload(store),
+        "epochs": {urls[url_id]: epoch for url_id, epoch in store._epochs.items()},
     }
 
 
 def _restore_probability(store: ProbabilityVolumeStore, payload: dict[str, Any]) -> None:
-    _base_restore(store, payload)
-    _metadata_restore(store, payload)
-    store._allocator.restore(payload["allocator"])
-    store.volumes = _members_restore(payload["members"])
-    store._epochs = {str(url): int(epoch) for url, epoch in payload["epochs"].items()}
-    store._candidate_cache = {}
-    store._containing = None
+    _served_restore(store, payload)
+    intern_url = store.id_space.ensure_url
+    store._epochs = {intern_url(str(url)): int(epoch) for url, epoch in payload["epochs"].items()}
 
 
 def _capture_online(store: OnlineProbabilityVolumeStore) -> dict[str, Any]:
     return {
-        **_base_payload(store),
-        **_metadata_payload(store),
-        "allocator": store._allocator.assignments(),
-        "members": _members_payload(store.volumes),
+        **_served_payload(store),
         "estimator": capture_estimator_state(store.estimator),
         "rebuilds": store.rebuilds,
         "observations": store._observations,
@@ -281,10 +300,7 @@ def _capture_online(store: OnlineProbabilityVolumeStore) -> dict[str, Any]:
 
 
 def _restore_online(store: OnlineProbabilityVolumeStore, payload: dict[str, Any]) -> None:
-    _base_restore(store, payload)
-    _metadata_restore(store, payload)
-    store._allocator.restore(payload["allocator"])
-    store.volumes = _members_restore(payload["members"])
+    _served_restore(store, payload)
     restore_estimator_state(store.estimator, payload["estimator"])
     store.rebuilds = int(payload["rebuilds"])
     store._observations = int(payload["observations"])

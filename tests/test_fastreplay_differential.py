@@ -6,9 +6,10 @@ Every configuration here runs both the reference engine
 workloads and asserts *exact* equality of the resulting
 :class:`ReplayMetrics` — including the random-enable RNG streams, RPV
 suppression, wire-byte accounting, and the multi-config single-pass mode.
-Directory volumes are referenced against the frozen string-keyed store in
-``directory_oracle``, not against the id-space store the engine replays.
-The estimator twin is held to the same standard on `Implication` sets.
+Stores are referenced against the frozen string-keyed stores in
+``directory_oracle`` and ``probability_oracle``, not against the id-space
+stores the engine replays.  The pairwise estimator is held to the same
+standard on `Implication` sets, against the oracle's string estimator.
 """
 
 from __future__ import annotations
@@ -18,9 +19,11 @@ import random
 import pytest
 
 import directory_oracle
+import probability_oracle
 from repro.analysis.fastreplay import replay_interned, replay_interned_multi
 from repro.analysis.prediction import ReplayConfig, replay, replay_many
 from repro.core.filters import ProxyFilter
+from repro.core.piggyback import MAX_VOLUME_ID
 from repro.traces.intern import compile_trace
 from repro.traces.records import LogRecord, Trace
 from repro.volumes.directory import DirectoryVolumeConfig, DirectoryVolumeStore
@@ -29,6 +32,7 @@ from repro.volumes.sitewide import CrossHostVolumeStore
 from repro.volumes.probability import (
     PairwiseConfig,
     PairwiseEstimator,
+    ProbabilityVolumes,
     ProbabilityVolumeStore,
     build_probability_volumes,
     build_probability_volumes_multi,
@@ -75,7 +79,7 @@ def _reference(trace, store_config, config):
     if isinstance(store_config, DirectoryVolumeConfig):
         store = directory_oracle.DirectoryVolumeStore(store_config)
     else:
-        store = ProbabilityVolumeStore(store_config)
+        store = probability_oracle.ProbabilityVolumeStore(store_config)
     return replay(trace, store, config)
 
 
@@ -208,6 +212,28 @@ class TestMultiConfigSinglePass:
         store.observe_trace(warmup)
         assert replay_many(tail, [(store, config)])[0] == expected
 
+    def test_warmed_probability_store_is_replayed_with_its_state(
+        self, server_trace, volumes
+    ):
+        # An online access filter reads the warm-up's counts: replaying a
+        # fresh copy of the volumes instead sends nothing.
+        records = list(server_trace)
+        warmup, tail = records[:100], Trace(records[100:300])
+        config = ReplayConfig(access_filter=2, precount_accesses=False)
+        oracle = probability_oracle.ProbabilityVolumeStore(volumes)
+        oracle.observe_trace(warmup)
+        expected = replay(tail, oracle, config)
+        assert expected.piggyback_messages > 0
+
+        warmed = ProbabilityVolumeStore(volumes)
+        warmed.observe_trace(warmup)
+        with pytest.raises(UnsupportedStoreError, match="its volumes"):
+            replay_many(tail, [(warmed, config)])
+
+        store = ProbabilityVolumeStore(volumes, id_space=compile_trace(tail))
+        store.observe_trace(warmup)
+        assert replay_many(tail, [(store, config)])[0] == expected
+
     def test_unsupported_store_raises(self, server_trace):
         from repro.volumes.online import OnlineProbabilityVolumeStore
 
@@ -217,23 +243,81 @@ class TestMultiConfigSinglePass:
             )
 
 
+class TestVolumeIdOverflow:
+    """Past the 2-byte id space: replay numbers on, serving fails loudly."""
+
+    COUNT = MAX_VOLUME_ID + 2
+
+    @pytest.fixture(scope="class")
+    def wide(self):
+        volumes = ProbabilityVolumes(
+            {f"h/r{i}": [(f"h/s{i}", 0.5)] for i in range(self.COUNT)}
+        )
+        trace = Trace(
+            LogRecord(timestamp=float(i), source="c", url=f"h/r{i}", size=100)
+            for i in range(self.COUNT)
+        )
+        return volumes, trace
+
+    def test_replay_numbers_past_the_cap(self, wide):
+        volumes, trace = wide
+        metrics = replay_interned(trace, volumes, ReplayConfig(rpv_min_gap=30.0))
+        assert metrics.piggyback_messages == self.COUNT
+
+    def test_directory_replay_numbers_past_the_cap(self):
+        # Two pages per directory: the second request's volume holds the first.
+        trace = Trace(
+            LogRecord(timestamp=float(i), source="c", url=f"h/d{i // 2}/p{i % 2}.html",
+                      size=100)
+            for i in range(2 * self.COUNT)
+        )
+        config = ReplayConfig(rpv_min_gap=30.0)
+        metrics = replay_interned(trace, DirectoryVolumeConfig(level=1), config)
+        assert metrics.piggyback_messages == self.COUNT
+
+    def test_serving_refuses_an_id_past_the_cap(self, wide):
+        volumes, _ = wide
+        store = ProbabilityVolumeStore(volumes)
+        for i in range(MAX_VOLUME_ID + 1):
+            assert store.lookup_version(f"h/r{i}").volume_id == i
+        with pytest.raises(OverflowError):
+            store.lookup_version(f"h/r{MAX_VOLUME_ID + 1}")
+        with pytest.raises(OverflowError):
+            store.lookup(f"h/r{MAX_VOLUME_ID + 1}")
+        assert len(store._allocator) == MAX_VOLUME_ID + 1  # nothing minted
+
+    def test_serving_refuses_an_id_replay_minted(self, wide):
+        volumes, trace = wide
+        compiled = compile_trace(trace)
+        store = ProbabilityVolumeStore(volumes, id_space=compiled)
+        replay_many(trace, [(store, ReplayConfig())])
+        assert store.lookup(f"h/r{MAX_VOLUME_ID}").volume_id == MAX_VOLUME_ID
+        with pytest.raises(OverflowError):
+            store.lookup_version(f"h/r{MAX_VOLUME_ID + 1}")
+
+
 class TestEstimatorDifferential:
     def test_exact_implications_identical(self, server_trace):
-        reference = PairwiseEstimator(PairwiseConfig(window=300.0))
+        reference = probability_oracle.PairwiseEstimator(PairwiseConfig(window=300.0))
         reference.observe_trace(server_trace)
         interned = estimate_pairwise(server_trace, PairwiseConfig(window=300.0))
         assert interned.implications(0.0) == reference.implications(0.0)
         assert interned.counter_count == reference.counter_count
+        online = PairwiseEstimator(PairwiseConfig(window=300.0))
+        online.observe_trace(server_trace)
+        assert online.implications(0.0) == reference.implications(0.0)
 
     def test_sampled_implications_identical(self, server_trace):
         config = PairwiseConfig(window=300.0, sample_counters=True,
                                 sampling_threshold=0.25, seed=13)
-        reference = PairwiseEstimator(config)
+        reference = probability_oracle.PairwiseEstimator(config)
         reference.observe_trace(server_trace)
-        interned = estimate_pairwise(server_trace, config)
-        assert interned.implications(0.1) == reference.implications(0.1)
-        assert interned.counter_count == reference.counter_count
-        assert interned.skipped_pair_events == reference.skipped_pair_events
+        online = PairwiseEstimator(config)
+        online.observe_trace(server_trace)
+        for estimator in (estimate_pairwise(server_trace, config), online):
+            assert estimator.implications(0.1) == reference.implications(0.1)
+            assert estimator.counter_count == reference.counter_count
+            assert estimator.skipped_pair_events == reference.skipped_pair_events
 
     def test_multi_threshold_build_matches_per_threshold(self, server_trace):
         estimator = PairwiseEstimator(PairwiseConfig(window=300.0))
@@ -241,7 +325,12 @@ class TestEstimatorDifferential:
         thresholds = (0.1, 0.25, 0.5)
         multi = build_probability_volumes_multi(estimator, thresholds)
         for threshold in thresholds:
-            single = build_probability_volumes(estimator, threshold)
+            members: dict = {}
+            for implication in estimator.implications(threshold):
+                members.setdefault(implication.antecedent, []).append(
+                    (implication.consequent, implication.probability)
+                )
+            single = ProbabilityVolumes(members)
             assert multi[threshold].implication_count() == single.implication_count()
             for antecedent in single.antecedents():
                 assert multi[threshold].members_of(antecedent) == single.members_of(

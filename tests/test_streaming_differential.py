@@ -6,8 +6,9 @@ element-wise :class:`ReplayMetrics`, RNG streams, RPV suppression, wire
 bytes, pair counters, sampling skips — must match *exactly*, for chunk
 sizes {1, 7, 4096}, for in-memory chunk lists and on-disk chunk files,
 and with state pruning forced to run at an aggressive cadence.  The
-in-memory baseline itself is held to the reference ``replay()`` — on the
-frozen string-keyed store from ``directory_oracle`` for directory volumes.
+in-memory baseline itself is held to the reference ``replay()`` on the
+frozen string-keyed stores from ``directory_oracle`` and
+``probability_oracle``.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import pytest
 
 import directory_oracle
+import probability_oracle
 import repro.analysis.fastreplay as fastreplay
 from repro.analysis.fastreplay import replay_interned_multi
 from repro.analysis.prediction import ReplayConfig, replay
@@ -24,9 +26,8 @@ from repro.traces.intern import ChunkedCompiledTrace
 from repro.traces.stats import characterize_client_log, characterize_server_log
 from repro.volumes.directory import DirectoryVolumeConfig
 from repro.volumes.probability import (
-    InternedPairwiseEstimator,
     PairwiseConfig,
-    ProbabilityVolumeStore,
+    PairwiseEstimator,
     build_probability_volumes,
     estimate_pairwise,
 )
@@ -82,7 +83,7 @@ def _reference(trace, store_config, config):
     if isinstance(store_config, DirectoryVolumeConfig):
         store = directory_oracle.DirectoryVolumeStore(store_config)
     else:
-        store = ProbabilityVolumeStore(store_config)
+        store = probability_oracle.ProbabilityVolumeStore(store_config)
     return replay(trace, store, config)
 
 
@@ -163,7 +164,7 @@ class TestStreamingEstimator:
 
     def test_window_pruning_is_neutral(self, small_server_log, records, monkeypatch):
         trace, _ = small_server_log
-        monkeypatch.setattr(InternedPairwiseEstimator, "PRUNE_INTERVAL_RECORDS", 64)
+        monkeypatch.setattr(PairwiseEstimator, "PRUNE_INTERVAL_RECORDS", 64)
         config = PairwiseConfig(sample_counters=True, seed=5)
         base = estimate_pairwise(trace, config)
         chunked = ChunkedCompiledTrace.from_records(records, chunk_records=50)
@@ -174,7 +175,7 @@ class TestStreamingEstimator:
     def test_incremental_run_across_chunks(self, small_server_log, records):
         trace, _ = small_server_log
         chunked = ChunkedCompiledTrace.from_records(records, chunk_records=17)
-        estimator = InternedPairwiseEstimator(chunked, PairwiseConfig())
+        estimator = PairwiseEstimator(PairwiseConfig(), id_space=chunked)
         estimator.run(100)
         estimator.run(250)
         estimator.run()
