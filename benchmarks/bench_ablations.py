@@ -8,18 +8,13 @@
 
 from _bench_util import print_series
 
-from repro.analysis.prediction import ReplayConfig, replay, replay_many
+from repro.analysis.prediction import ReplayConfig, replay
 from repro.volumes.directory import DirectoryVolumeConfig
 from repro.volumes.probability import (
     PairwiseConfig,
     PairwiseEstimator,
     build_probability_volumes,
 )
-
-
-def _fast_replay(trace, store_config, config):
-    """One-point run on the interned engine (bit-identical to replay())."""
-    return replay_many(trace, [(store_config, config)], engine="fast")[0]
 
 
 def test_ablation_sampled_counters(benchmark, sun_log):
@@ -58,7 +53,7 @@ def test_ablation_move_to_front(benchmark, aiusa_log):
 
     def run_variant(move_to_front):
         config = DirectoryVolumeConfig(level=1, move_to_front=move_to_front)
-        return _fast_replay(trace, config, ReplayConfig(max_elements=10, access_filter=10))
+        return replay(trace, config, ReplayConfig(max_elements=10, access_filter=10))
 
     def run():
         return run_variant(True), run_variant(False)
@@ -85,7 +80,7 @@ def test_ablation_rpv_vs_random_pacing(benchmark, apache_log):
     base = ReplayConfig(max_elements=50, access_filter=10)
 
     def run_variant(config):
-        return _fast_replay(trace, DirectoryVolumeConfig(level=1), config)
+        return replay(trace, DirectoryVolumeConfig(level=1), config)
 
     def run():
         from dataclasses import replace
@@ -126,7 +121,7 @@ def test_ablation_type_partitioning(benchmark, sun_log):
     def run_variant(partitioned):
         config = DirectoryVolumeConfig(level=1, partition_by_type=partitioned,
                                        max_volume_size=50)
-        return _fast_replay(trace, config, ReplayConfig(max_elements=10))
+        return replay(trace, config, ReplayConfig(max_elements=10))
 
     def run():
         return run_variant(True), run_variant(False)
@@ -158,7 +153,7 @@ def test_ablation_offline_vs_online_volumes(benchmark, sun_log):
         estimator = PairwiseEstimator(PairwiseConfig(window=300.0))
         estimator.observe_trace(trace)
         volumes = build_probability_volumes(estimator, 0.25)
-        return _fast_replay(trace, volumes, ReplayConfig(max_elements=50))
+        return replay(trace, volumes, ReplayConfig(max_elements=50))
 
     def run_online():
         store = OnlineProbabilityVolumeStore(

@@ -4,6 +4,8 @@
 Measures records/second for the three hot paths the interned core
 rewrites — single-config replay, pairwise estimation, and a
 multi-threshold sweep — and writes the results to ``BENCH_replay.json``.
+The ``reference`` columns time the frozen per-record reference replay
+kept in ``tests/replay_oracle.py``.
 The committed copy of that file is the perf baseline; CI reruns this
 script at reduced scale and fails when the fast engine regresses by more
 than ``--max-regression`` against the committed numbers.
@@ -25,8 +27,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "tests"))
 
-from repro.analysis.prediction import ReplayConfig, replay, replay_many  # noqa: E402
+import replay_oracle  # noqa: E402
+from repro.analysis.prediction import ReplayConfig, replay_many  # noqa: E402
 from repro.analysis.sweeps import threshold_sweep  # noqa: E402
 from repro.traces.clean import CleaningConfig, clean_trace  # noqa: E402
 from repro.traces.intern import compile_trace  # noqa: E402
@@ -39,6 +43,7 @@ from repro.volumes.probability import (  # noqa: E402
     PairwiseEstimator,
     ProbabilityVolumeStore,
     build_probability_volumes,
+    build_probability_volumes_multi,
     estimate_pairwise,
 )
 from repro.workloads.synth import server_log_preset  # noqa: E402
@@ -82,8 +87,9 @@ def run_benchmarks(preset: str, scale: float, repeat: int) -> dict:
     # -- 1. single-config directory replay ---------------------------------
     config = ReplayConfig(max_elements=200, access_filter=10)
     ref_s = _best_seconds(
-        lambda: replay(trace, DirectoryVolumeStore(DirectoryVolumeConfig(level=1)),
-                       config),
+        lambda: replay_oracle.replay(
+            trace, DirectoryVolumeStore(DirectoryVolumeConfig(level=1)), config
+        ),
         repeat,
     )
     fast_s = _best_seconds(
@@ -98,7 +104,8 @@ def run_benchmarks(preset: str, scale: float, repeat: int) -> dict:
     volumes = build_probability_volumes(estimator, 0.2)
     prob_config = ReplayConfig(max_elements=200)
     ref_s = _best_seconds(
-        lambda: replay(trace, ProbabilityVolumeStore(volumes), prob_config), repeat
+        lambda: replay_oracle.replay(trace, ProbabilityVolumeStore(volumes), prob_config),
+        repeat,
     )
     fast_s = _best_seconds(
         lambda: replay_many(compiled, [(volumes, prob_config)]), repeat
@@ -120,14 +127,16 @@ def run_benchmarks(preset: str, scale: float, repeat: int) -> dict:
     results["pairwise_estimation"] = _entry(records, ref_s, fast_s)
 
     # -- 4. end-to-end multi-threshold sweep --------------------------------
-    # The reference path is what the experiments used to do: one estimator
-    # pass, then one volume build plus one full replay per threshold.
-    ref_s = _best_seconds(
-        lambda: threshold_sweep(trace, THRESHOLDS, engine="reference"), repeat
-    )
-    fast_s = _best_seconds(
-        lambda: threshold_sweep(compiled, THRESHOLDS, engine="fast"), repeat
-    )
+    # The reference path is one estimator pass and one volume build for
+    # all thresholds, then one full per-record replay per threshold.
+    def run_reference_sweep():
+        estimator = estimate_pairwise(trace, PairwiseConfig(window=300.0))
+        volumes = build_probability_volumes_multi(estimator, THRESHOLDS)
+        sweep_config = ReplayConfig(max_elements=200)
+        replay_oracle.replay_many(trace, [(volumes[t], sweep_config) for t in THRESHOLDS])
+
+    ref_s = _best_seconds(run_reference_sweep, repeat)
+    fast_s = _best_seconds(lambda: threshold_sweep(compiled, THRESHOLDS), repeat)
     results["threshold_sweep"] = _entry(records, ref_s, fast_s,
                                         points=len(THRESHOLDS))
 

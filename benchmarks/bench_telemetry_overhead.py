@@ -96,7 +96,7 @@ def run_replay_benchmarks(preset: str, scale: float, repeat: int) -> dict:
     results["replay_directory"] = _entry(records, disabled_s, enabled_s)
 
     disabled_s, enabled_s = _timed_pair(
-        lambda: threshold_sweep(compiled, THRESHOLDS, engine="fast"), repeat
+        lambda: threshold_sweep(compiled, THRESHOLDS), repeat
     )
     results["threshold_sweep"] = _entry(
         records, disabled_s, enabled_s, points=len(THRESHOLDS)

@@ -16,11 +16,10 @@ from repro.analysis.prediction import ReplayConfig, replay
 from repro.traces.clean import CleaningConfig, clean_trace
 from repro.traces.common_log import read_log, write_log
 from repro.traces.stats import characterize_server_log
-from repro.volumes.directory import DirectoryVolumeConfig, DirectoryVolumeStore
+from repro.volumes.directory import DirectoryVolumeConfig
 from repro.volumes.probability import (
     PairwiseConfig,
     PairwiseEstimator,
-    ProbabilityVolumeStore,
     build_probability_volumes,
 )
 from repro.volumes.thinning import measure_effectiveness, thin_by_effectiveness
@@ -54,8 +53,8 @@ def main() -> None:
     print(f"{'scheme':<28} {'avg size':>8} {'recall':>7} {'precision':>9}")
 
     for level in (1, 2):
-        store = DirectoryVolumeStore(DirectoryVolumeConfig(level=level))
-        metrics = replay(trace, store, ReplayConfig(max_elements=200, access_filter=50))
+        metrics = replay(trace, DirectoryVolumeConfig(level=level),
+                         ReplayConfig(max_elements=200, access_filter=50))
         print(f"{f'directory level {level} (f=50)':<28} "
               f"{metrics.mean_piggyback_size:>8.1f} "
               f"{metrics.fraction_predicted:>7.1%} "
@@ -69,8 +68,7 @@ def main() -> None:
         thinned = thin_by_effectiveness(base, effectiveness, 0.2)
         for name, volumes in ((f"probability p_t={threshold}", base),
                               (f"  + effective 0.2", thinned)):
-            metrics = replay(trace, ProbabilityVolumeStore(volumes),
-                             ReplayConfig(max_elements=200))
+            metrics = replay(trace, volumes, ReplayConfig(max_elements=200))
             print(f"{name:<28} {metrics.mean_piggyback_size:>8.1f} "
                   f"{metrics.fraction_predicted:>7.1%} "
                   f"{metrics.true_prediction_fraction:>9.1%}")

@@ -34,7 +34,7 @@ from ..volumes.thinning import (
 from .interarrival import PrefixLocality, directory_locality
 from .metrics import ReplayMetrics
 from .pairwise import implication_probabilities
-from .prediction import ReplayConfig, replay_many
+from .prediction import ReplayConfig, replay, replay_many
 
 __all__ = [
     "DirectoryPoint",
@@ -93,15 +93,13 @@ def fig2_fig3_directory(
     prediction_window: float = 300.0,
     history_window: float = 7200.0,
     max_elements: int = 200,
-    engine: str = "fast",
 ) -> list[DirectoryPoint]:
     """Figures 2, 3(a), 3(b): piggyback size and accuracy of directory
     volumes across access filters.
 
     ``max_elements`` mirrors the paper's post-processing cap of 200
     elements per piggyback message.  The whole grid is scored in one trace
-    pass (all points at one level share volume maintenance); pass
-    ``engine="reference"`` for the serial per-point baseline.
+    pass (all points at one level share volume maintenance).
     """
     cells = []
     entries = []
@@ -120,7 +118,7 @@ def fig2_fig3_directory(
                     ),
                 )
             )
-    results = replay_many(trace, entries, engine=engine)
+    results = replay_many(trace, entries)
     return [
         _directory_point(level, access_filter, metrics)
         for (level, access_filter), metrics in zip(cells, results)
@@ -162,7 +160,6 @@ def fig4_rpv(
     min_gaps=(0.0, 5.0, 10.0, 30.0, 60.0, 120.0, 300.0),
     prediction_window: float = 300.0,
     max_elements: int = 200,
-    engine: str = "fast",
 ) -> list[RpvPoint]:
     """Figure 4: enforcing a minimum time between piggybacks via RPV lists."""
     cells = []
@@ -183,7 +180,7 @@ def fig4_rpv(
                         ),
                     )
                 )
-    results = replay_many(trace, entries, engine=engine)
+    results = replay_many(trace, entries)
     return [
         RpvPoint(
             level=level,
@@ -248,28 +245,11 @@ def prob_variants(
     return out
 
 
-def _replay_probability(
-    trace: Trace,
-    volumes: ProbabilityVolumes,
-    window: float,
-    history_window: float = 7200.0,
-    max_elements: int | None = 200,
-    engine: str = "fast",
-) -> ReplayMetrics:
-    config = ReplayConfig(
-        prediction_window=window,
-        history_window=history_window,
-        max_elements=max_elements,
-    )
-    return replay_many(trace, [(volumes, config)], engine=engine)[0]
-
-
 def fig6_fig7_fig8_probability(
     trace: Trace,
     thresholds=DEFAULT_THRESHOLDS,
     variants=PROB_VARIANTS,
     window: float = 300.0,
-    engine: str = "fast",
 ) -> list[ProbabilityPoint]:
     """Figures 6, 7, 8: recall/precision vs piggyback size across
     thresholds, for the base, effectiveness-thinned, and combined variants.
@@ -293,7 +273,7 @@ def fig6_fig7_fig8_probability(
         for variant, volumes in built.items():
             cells.append((variant, threshold, volumes))
             entries.append((volumes, config))
-    results = replay_many(trace, entries, engine=engine)
+    results = replay_many(trace, entries)
     return [
         ProbabilityPoint(
             variant=variant,
@@ -351,15 +331,18 @@ def table1_update_fraction(
     effectiveness_threshold: float = 0.2,
     window: float = 300.0,
     history_window: float = 7200.0,
-    engine: str = "fast",
 ) -> Table1Row:
     """Table 1: update fractions for thinned probability volumes."""
     estimator = estimate_pairwise(trace, PairwiseConfig(window=window))
     base = build_probability_volumes(estimator, probability_threshold)
     effectiveness = measure_effectiveness(trace, base, window=window)
     volumes = thin_by_effectiveness(base, effectiveness, effectiveness_threshold)
-    metrics = _replay_probability(
-        trace, volumes, window, history_window=history_window, engine=engine
+    metrics = replay(
+        trace,
+        volumes,
+        ReplayConfig(
+            prediction_window=window, history_window=history_window, max_elements=200
+        ),
     )
     return Table1Row(
         log=log_name,
@@ -404,17 +387,14 @@ def sec23_overhead(
     probability_threshold: float = 0.2,
     window: float = 300.0,
     mss: int = 1460,
-    engine: str = "fast",
 ) -> OverheadSummary:
     """Measure piggyback sizes in bytes against the paper's 66 B/element
     budget and the claim that messages usually avoid extra packets."""
     estimator = estimate_pairwise(trace, PairwiseConfig(window=window))
     volumes = build_probability_volumes(estimator, probability_threshold)
-    metrics = replay_many(
-        trace,
-        [(volumes, ReplayConfig(prediction_window=window, max_elements=200))],
-        engine=engine,
-    )[0]
+    metrics = replay(
+        trace, volumes, ReplayConfig(prediction_window=window, max_elements=200)
+    )
 
     sizes = [r.size for r in trace if r.size > 0]
     mean_response = sum(sizes) / len(sizes) if sizes else 0.0
@@ -464,7 +444,6 @@ def sec4_prefetch_tradeoffs(
     thresholds=DEFAULT_THRESHOLDS,
     effectiveness_threshold: float = 0.2,
     window: float = 300.0,
-    engine: str = "fast",
 ) -> list[PrefetchTradeoffPoint]:
     """Recall-vs-futile-fetch tradeoff of prefetching from piggybacks.
 
@@ -483,7 +462,7 @@ def sec4_prefetch_tradeoffs(
         effectiveness = measure_effectiveness(trace, base, window=window)
         volumes = thin_by_effectiveness(base, effectiveness, effectiveness_threshold)
         entries.append((volumes, config))
-    results = replay_many(trace, entries, engine=engine)
+    results = replay_many(trace, entries)
     points = []
     for threshold, metrics in zip(thresholds, results):
         futile = 1.0 - metrics.true_prediction_fraction

@@ -1,40 +1,44 @@
-"""The interned replay engine: one trace pass, many configurations.
+"""The replay engine: one trace pass, many configurations.
 
-This is the high-throughput twin of :func:`repro.analysis.prediction.replay`.
-It operates on a :class:`~repro.traces.intern.CompiledTrace` (dense integer
-ids, columnar arrays) and volume stores maintained on the trace's ids (a
+This is the scoring loop behind :func:`repro.analysis.prediction.replay`
+and :func:`~repro.analysis.prediction.replay_many`, and the only one in
+the package.  It operates on a
+:class:`~repro.traces.intern.ChunkedCompiledTrace` (dense integer ids,
+columnar chunks) and volume stores maintained on the trace's ids (a
 :class:`~repro.volumes.directory.DirectoryVolumeStore` or a
 :class:`~repro.volumes.probability.ProbabilityVolumeStore` built on the
 trace's id space: the same classes the origin serves from), and it can
-score several
-:class:`~repro.analysis.prediction.ReplayConfig` filter configurations in a
-*single* pass over the trace: per-record work that is independent of the
-configuration (trace decoding, volume maintenance) is paid once, and the
-per-configuration scoring state is kept in parallel.
+score several :class:`~repro.analysis.prediction.ReplayConfig` filter
+configurations in a *single* pass over the trace: per-record work that is
+independent of the configuration (trace decoding, volume maintenance) is
+paid once, and the per-configuration scoring state is kept in parallel.
+Any other :class:`~repro.volumes.base.VolumeStore` is fed the trace's own
+records through :class:`~repro.volumes.interned.RecordFedStore` and
+filtered with :meth:`~repro.core.filters.ProxyFilter.admits_element`.
 
-It also accepts a :class:`~repro.traces.intern.ChunkedCompiledTrace`
-(in-memory chunk list or bound to an on-disk chunk file), in which case the
-pass streams chunk by chunk through the *same* batch kernel: only the
-symbol tables, per-URL columns, and per-source scoring state stay resident
-— O(clients + volumes), never O(records).  At chunk boundaries the driver
-additionally prunes per-source state whose timestamps have aged past every
-configured window (such entries can no longer influence any score), so
-memory tracks the *active* client population on long traces.
+A plain trace compiles to one chunk; an on-disk chunk file streams chunk
+by chunk through the *same* batch kernel, with only the symbol tables,
+per-URL columns, and per-source scoring state resident — O(clients +
+volumes), never O(records).  At chunk boundaries the driver additionally
+prunes per-source state whose timestamps have aged past every configured
+window (such entries can no longer influence any score), so memory tracks
+the *active* client population on long traces.
 
-Equivalence contract: for every supported store kind, and for both trace
-representations, the engine produces **bit-identical**
-:class:`~repro.analysis.metrics.ReplayMetrics` to running the reference
-``replay()`` serially with a fresh store per configuration — including the
-random-enable pacing RNG streams, RPV suppression decisions, and the
-piggyback byte accounting.  ``tests/test_fastreplay_differential.py`` and
+Equivalence contract: for every store kind and every chunking, the
+engine produces **bit-identical**
+:class:`~repro.analysis.metrics.ReplayMetrics` to the per-record
+reference replay (frozen in ``tests/replay_oracle.py``) run serially with
+a fresh store per configuration — including the random-enable pacing RNG
+streams, RPV suppression decisions, and the piggyback byte accounting.
+``tests/test_fastreplay_differential.py`` and
 ``tests/test_streaming_differential.py`` enforce this across the preset
 workloads and across chunk sizes.
 
 Two additional rewrites make the per-request cost low:
 
-* candidates are primitive tuples indexed by url id — no
-  ``CandidateElement``/``ProxyFilter``/``PiggybackMessage`` objects are
-  constructed per request;
+* candidates of the id-space stores are primitive tuples indexed by url
+  id — no ``CandidateElement``/``ProxyFilter``/``PiggybackMessage``
+  objects are constructed per request;
 * for probability volumes the *filtered piggyback message* per
   (configuration, antecedent) is cached and reused while admission
   depends only on static criteria; a configuration that filters on
@@ -45,19 +49,23 @@ Two additional rewrites make the per-request cost low:
 from __future__ import annotations
 
 import random
+from typing import TYPE_CHECKING
 
+from ..core.filters import ProxyFilter
 from ..core.piggyback import VOLUME_ID_BYTES
 from ..core.rpv import RpvList
-from ..traces.intern import ChunkedCompiledTrace, CompiledTrace, compile_trace
+from ..traces.intern import ChunkedCompiledTrace, compile_trace
 from ..traces.records import Trace
 from ..volumes.directory import ACCESS_COUNT, CONTENT_TYPE, SIZE, URL
-from ..volumes.interned import build_interned_store
+from ..volumes.interned import RecordFedStore, build_interned_store
 from ..volumes.probability import ProbabilityVolumeStore
 from ..telemetry import REGISTRY
 from .metrics import ReplayMetrics
-from .prediction import ReplayConfig
 
-__all__ = ["IdentityIndex", "replay_interned", "replay_interned_multi"]
+if TYPE_CHECKING:
+    from .prediction import ReplayConfig
+
+__all__ = ["IdentityIndex", "replay_interned_multi"]
 
 # Batch-level instrumentation only: one timer + one bulk increment per
 # replay pass, never per record, so the hot loop stays telemetry-free and
@@ -128,7 +136,7 @@ class _Slot:
         "config", "store", "metrics", "states", "rpvs", "rng",
         "window", "history", "recent", "measure_after", "enable_probability",
         "max_elements", "access_filter", "precounts", "probability_threshold",
-        "max_resource_size", "excluded_type_ids",
+        "max_resource_size", "excluded_type_ids", "element_filter",
         "cacheable", "size_sensitive", "message_cache",
     )
 
@@ -161,6 +169,15 @@ class _Slot:
             if base.excluded_content_types
             else frozenset()
         )
+        # A record-fed store's candidates pass ProxyFilter's own element
+        # criteria; without precounted totals the access filter is its
+        # count minimum.
+        self.element_filter = ProxyFilter(
+            probability_threshold=base.probability_threshold,
+            min_access_count=config.access_filter if self.precounts is None else 0,
+            max_resource_size=base.max_resource_size,
+            excluded_content_types=base.excluded_content_types,
+        )
         # A cached message stays valid while admission is static: access
         # counts must come from the precounted totals (or not matter), and
         # size-based admission is checked against the volume's epoch.
@@ -178,47 +195,34 @@ class _Slot:
         return state
 
 
-def replay_interned(
-    trace: Trace | CompiledTrace | ChunkedCompiledTrace,
-    store_or_config,
-    config: ReplayConfig = ReplayConfig(),
-) -> ReplayMetrics:
-    """Replay one configuration on the interned fast path."""
-    return replay_interned_multi(trace, [(store_or_config, config)])[0]
-
-
 def replay_interned_multi(
-    trace: Trace | CompiledTrace | ChunkedCompiledTrace, entries
+    trace: Trace | ChunkedCompiledTrace, entries
 ) -> list[ReplayMetrics]:
     """Score many (store, config) pairs in one pass over *trace*.
 
     ``entries`` is a sequence of ``(store_or_config, ReplayConfig)`` pairs.
     A :class:`~repro.volumes.directory.DirectoryVolumeConfig` or a
     :class:`~repro.volumes.probability.ProbabilityVolumes` artifact replays
-    a fresh store; a directory or probability store instance is replayed
-    itself (it must hold no state yet, or live on this trace's id space).
-    :func:`repro.volumes.interned.build_interned_store` has the details,
-    and raises ``UnsupportedStoreError`` for anything else.  Entries sharing
-    a store object (by identity) share its maintenance work.  Passing a
-    :class:`ChunkedCompiledTrace` makes this a bounded-memory streaming
-    pass (chunks are decoded one at a time; results are bit-identical).
-    Returns one :class:`ReplayMetrics` per entry, in order, bit-identical
-    to the reference engine run serially.
+    a fresh store; a store instance is replayed itself, state included
+    (:func:`repro.volumes.interned.build_interned_store` has the details).
+    Entries sharing a store object (by identity) share its maintenance
+    work.  Passing a file-backed :class:`ChunkedCompiledTrace` makes this a
+    bounded-memory streaming pass (chunks are decoded one at a time;
+    results are bit-identical).  Returns one :class:`ReplayMetrics` per
+    entry, in order.
     """
     entries = list(entries)
     with _TEL_REPLAY_PASS_SECONDS.time():
-        results = _replay_compiled_multi(trace, entries)
-    # compile_trace is memoized, so re-resolving the compiled form here is
-    # a dict hit, not a second compile.
-    _TEL_REPLAY_RECORDS.inc(len(compile_trace(trace)))
+        compiled = compile_trace(trace)
+        results = _replay_compiled_multi(compiled, entries)
+    _TEL_REPLAY_RECORDS.inc(len(compiled))
     _TEL_REPLAY_CONFIGS.inc(len(entries))
     return results
 
 
 def _replay_compiled_multi(
-    trace: Trace | CompiledTrace | ChunkedCompiledTrace, entries
+    compiled: ChunkedCompiledTrace, entries
 ) -> list[ReplayMetrics]:
-    compiled = compile_trace(trace)
     slots: list[_Slot] = []
     # One replayed store per distinct store/config object, in first-seen
     # order, so multi-config entries keep shared maintenance.
@@ -232,27 +236,24 @@ def _replay_compiled_multi(
 
     wire = compiled.wire_bytes()
     type_ids = compiled.content_type_ids()
+    fed = [store for store in stores if type(store) is RecordFedStore]
 
-    if isinstance(compiled, ChunkedCompiledTrace):
-        since_prune = 0
-        last_time: float | None = None
-        for chunk in compiled.chunks():
-            _replay_batch(
-                slots, stores, wire, type_ids,
-                chunk.timestamps, chunk.source_ids, chunk.url_ids, chunk.sizes,
-            )
-            since_prune += len(chunk)
-            if len(chunk):
-                last_time = chunk.timestamps[-1]
-            if since_prune >= PRUNE_INTERVAL_RECORDS and last_time is not None:
-                _prune_slots(slots, last_time)
-                since_prune = 0
-    else:
+    since_prune = 0
+    last_time = 0.0
+    for chunk in compiled.chunks():
+        # Prune between chunks, never after the last one.
+        if since_prune >= PRUNE_INTERVAL_RECORDS:
+            _prune_slots(slots, last_time)
+            since_prune = 0
+        for store in fed:
+            store.feed(chunk.records(compiled.urls, compiled.sources, compiled.methods))
         _replay_batch(
             slots, stores, wire, type_ids,
-            compiled.timestamps, compiled.source_ids, compiled.url_ids,
-            compiled.sizes,
+            chunk.timestamps, chunk.source_ids, chunk.url_ids, chunk.sizes,
         )
+        if len(chunk):
+            since_prune += len(chunk)
+            last_time = chunk.timestamps[-1]
 
     return [slot.metrics for slot in slots]
 
@@ -267,12 +268,11 @@ def _replay_batch(
     url_ids,
     sizes,
 ) -> None:
-    """Score one batch of parallel record columns against every slot.
+    """Score one chunk's parallel record columns against every slot.
 
-    This is the whole hot loop: the in-memory path calls it once with the
-    full-trace columns, the streaming path once per chunk.  Both paths run
-    the exact same per-record statements, which is what makes streaming
-    results bit-identical by construction.
+    This is the whole hot loop, called once per chunk: every chunking
+    runs the exact same per-record statements, which is what makes
+    streaming results bit-identical by construction.
     """
     for index in range(len(url_ids)):
         now = timestamps[index]
@@ -370,6 +370,23 @@ def _replay_batch(
                     if slot.cacheable:
                         slot.message_cache[url] = cached
                 element_ids, wire_total, _ = cached
+            elif type(store) is RecordFedStore:
+                admitted = []
+                wire_total = VOLUME_ID_BYTES
+                counts = slot.precounts
+                access_filter = slot.access_filter
+                admits = slot.element_filter.admits_element
+                requested = store.requested_url
+                for consequent, candidate in candidates:
+                    if counts is not None and counts[consequent] < access_filter:
+                        continue
+                    if not admits(candidate, requested):
+                        continue
+                    admitted.append(consequent)
+                    wire_total += wire[consequent]
+                    if limit is not None and len(admitted) >= limit:
+                        break
+                element_ids = admitted
             else:
                 admitted = []
                 wire_total = VOLUME_ID_BYTES
@@ -430,7 +447,7 @@ _PRUNE_MIN_ENTRIES = 64
 def _prune_slots(slots: list[_Slot], now: float) -> None:
     """Reclaim per-source state that can no longer affect any outcome.
 
-    Only the streaming driver calls this (at chunk boundaries).  Every
+    The driver calls this between chunks of a multi-chunk trace.  Every
     scoring read compares an entry's timestamp against a window —
     ``carried``/``pending`` against the prediction window, ``requested``
     against the history window — so entries strictly older than their
@@ -439,7 +456,7 @@ def _prune_slots(slots: list[_Slot], now: float) -> None:
     (``active_ids`` calls ``expire``), so explicitly expiring one here and
     dropping it when empty reproduces what the next engine read would have
     done anyway.  Metrics therefore remain bit-identical to the unpruned
-    in-memory pass; the differential suite covers configurations that
+    one-chunk pass; the differential suite covers configurations that
     exercise every pruned structure.
     """
     for slot in slots:

@@ -3,13 +3,13 @@
 Every Section 3 figure is a sweep: the same trace replayed under a grid of
 filter configurations and volume-construction knobs.  This module turns
 that pattern into data — a list of :class:`SweepPoint` (store spec +
-:class:`~repro.analysis.prediction.ReplayConfig`) — and runs it through
-the fastest applicable engine:
+:class:`~repro.analysis.prediction.ReplayConfig`) — and runs it on the
+replay engine:
 
-* **fast, serial** (default): one :func:`replay_interned_multi` pass over
+* **serial** (default): one :func:`replay_interned_multi` pass over
   the compiled trace scores *every* point at once; points with equal store
   specs share volume maintenance.
-* **fast, parallel**: points fan out across a ``multiprocessing`` fork
+* **parallel**: points fan out across a ``multiprocessing`` fork
   pool.  The compiled trace and the point list are published as module
   globals before forking, so workers inherit them copy-on-write instead of
   pickling the trace per task; only point indices cross the pipe out and
@@ -18,9 +18,6 @@ the fastest applicable engine:
   only the symbol tables and per-URL columns; each worker re-opens the
   chunk file for its own sequential pass, so an n-way sweep over a 10M
   record trace never holds the records in any process.
-* **reference**: the original serial per-point ``replay()``, kept as the
-  semantic baseline (the fast paths are bit-identical to it; the
-  differential suite enforces that).
 
 Store specs are the *picklable descriptions* of stores, not live stores:
 a :class:`~repro.volumes.directory.DirectoryVolumeConfig` or a
@@ -33,7 +30,7 @@ import os
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
-from ..traces.intern import ChunkedCompiledTrace, CompiledTrace, compile_trace
+from ..traces.intern import ChunkedCompiledTrace, compile_trace
 from ..traces.records import Trace
 from ..volumes.directory import DirectoryVolumeConfig
 from ..volumes.probability import (
@@ -125,9 +122,7 @@ def _run_chunk(indices: list[int]) -> list[ReplayMetrics]:
     compiled = _SHARED["compiled"]
     stores = _SHARED["stores"]
     points = _SHARED["points"]
-    return replay_many(
-        compiled, [(stores[i], points[i].config) for i in indices], engine="fast"
-    )
+    return replay_many(compiled, [(stores[i], points[i].config) for i in indices])
 
 
 def _default_processes() -> int:
@@ -135,7 +130,7 @@ def _default_processes() -> int:
 
 
 def run_sweep(
-    trace: Trace | CompiledTrace | ChunkedCompiledTrace,
+    trace: Trace | ChunkedCompiledTrace,
     points: Sequence[SweepPoint],
     *,
     engine: str = "fast",
@@ -146,36 +141,26 @@ def run_sweep(
     ``processes`` > 1 fans points across a fork-based worker pool (groups
     of points sharing a store spec stay on one worker so maintenance
     sharing survives the split).  On platforms without ``fork``, or when
-    ``processes`` resolves to 1, the sweep runs in-process.
+    ``processes`` resolves to 1, the sweep runs in-process.  ``engine``
+    accepts only ``"fast"``, the one replay engine, and raises ValueError
+    on anything else; it stays until the end-to-end benchmark that passes
+    it no longer does.
     """
+    if engine != "fast":
+        raise ValueError(f"unknown engine {engine!r}: the one replay engine is 'fast'")
     points = list(points)
     if not points:
         return []
     _TEL_SWEEP_POINTS.inc(len(points))
     with _TEL_SWEEP_SECONDS.time():
-        return _run_sweep_engine(trace, points, engine=engine, processes=processes)
+        return _run_sweep_points(trace, points, processes)
 
 
-def _run_sweep_engine(
-    trace: Trace | CompiledTrace | ChunkedCompiledTrace,
+def _run_sweep_points(
+    trace: Trace | ChunkedCompiledTrace,
     points: list[SweepPoint],
-    *,
-    engine: str,
     processes: int | None,
 ) -> list[SweepResult]:
-    if engine == "reference":
-        metrics = replay_many(
-            trace if isinstance(trace, Trace) else _reject_compiled(trace),
-            [(p.store, p.config) for p in points],
-            engine="reference",
-        )
-        _TEL_SWEEP_POINTS_COMPLETED.inc(len(points))
-        return [
-            SweepResult(p.label, m, p.params) for p, m in zip(points, metrics)
-        ]
-    if engine != "fast":
-        raise ValueError(f"unknown engine {engine!r}")
-
     compiled = compile_trace(trace)
     stores = _canonical_stores(points)
     workers = _default_processes() if processes is None else max(1, processes)
@@ -186,18 +171,9 @@ def _run_sweep_engine(
         if results is not None:
             return results
         # fork unavailable: fall through to the in-process path
-    metrics = replay_many(
-        compiled, [(s, p.config) for s, p in zip(stores, points)], engine="fast"
-    )
+    metrics = replay_many(compiled, [(s, p.config) for s, p in zip(stores, points)])
     _TEL_SWEEP_POINTS_COMPLETED.inc(len(points))
     return [SweepResult(p.label, m, p.params) for p, m in zip(points, metrics)]
-
-
-def _reject_compiled(trace):
-    raise TypeError(
-        "the reference engine needs the original Trace, not a compiled or "
-        "chunked trace"
-    )
 
 
 def _partition_by_store(
@@ -219,7 +195,7 @@ def _partition_by_store(
 
 
 def _run_parallel(
-    compiled: CompiledTrace | ChunkedCompiledTrace,
+    compiled: ChunkedCompiledTrace,
     points: Sequence[SweepPoint],
     stores: Sequence[object],
     chunks: list[list[int]],
@@ -255,7 +231,7 @@ def _run_parallel(
 
 
 def threshold_sweep(
-    trace: Trace | CompiledTrace | ChunkedCompiledTrace,
+    trace: Trace | ChunkedCompiledTrace,
     thresholds: Iterable[float],
     *,
     window: float = 300.0,
@@ -270,7 +246,8 @@ def threshold_sweep(
     One estimator pass feeds
     :func:`build_probability_volumes_multi`, so all thresholds' volumes are
     materialized from the same counters, then every threshold replays in a
-    single multi-config pass (or a parallel fan-out).
+    single multi-config pass (or a parallel fan-out).  ``engine`` is
+    :func:`run_sweep`'s: ``"fast"`` only.
     """
     thresholds = sorted(set(thresholds))
     estimator = estimate_pairwise(trace, pairwise or PairwiseConfig(window=window))
@@ -293,14 +270,13 @@ def threshold_sweep(
 
 
 def directory_sweep(
-    trace: Trace | CompiledTrace | ChunkedCompiledTrace,
+    trace: Trace | ChunkedCompiledTrace,
     levels: Iterable[int] = (0, 1, 2),
     access_filters: Iterable[int] = (1, 10, 100),
     *,
     window: float = 300.0,
     history_window: float = 7200.0,
     max_elements: int | None = 200,
-    engine: str = "fast",
     processes: int | None = None,
 ) -> list[SweepResult]:
     """The directory-volume grid (Figures 2-3): levels × access filters.
@@ -330,18 +306,17 @@ def directory_sweep(
                     params=(("level", level), ("access_filter", access_filter)),
                 )
             )
-    return run_sweep(trace, points, engine=engine, processes=processes)
+    return run_sweep(trace, points, processes=processes)
 
 
 def rpv_sweep(
-    trace: Trace | CompiledTrace | ChunkedCompiledTrace,
+    trace: Trace | ChunkedCompiledTrace,
     levels: Iterable[int] = (0, 1),
     access_filters: Iterable[int] = (10, 50),
     min_gaps: Iterable[float] = (0.0, 5.0, 10.0, 30.0, 60.0, 120.0, 300.0),
     *,
     window: float = 300.0,
     max_elements: int | None = 200,
-    engine: str = "fast",
     processes: int | None = None,
 ) -> list[SweepResult]:
     """The RPV pacing grid (Figure 4): levels × filters × minimum gaps."""
@@ -367,4 +342,4 @@ def rpv_sweep(
                         ),
                     )
                 )
-    return run_sweep(trace, points, engine=engine, processes=processes)
+    return run_sweep(trace, points, processes=processes)

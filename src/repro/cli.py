@@ -864,7 +864,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         results = threshold_sweep(
             trace,
             args.thresholds,
-            engine=args.engine,
             processes=args.processes,
         )
     else:
@@ -872,7 +871,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             trace,
             levels=args.levels,
             access_filters=args.filters,
-            engine=args.engine,
             processes=args.processes,
         )
     print(f"{'point':<28} {'avg-piggyback':>13} {'predicted':>9} {'true-pred':>9}")
@@ -899,8 +897,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         import json
 
         with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump({"kind": args.kind, "engine": args.engine, "points": rows},
-                      handle, indent=2)
+            json.dump({"kind": args.kind, "points": rows}, handle, indent=2)
         print(f"wrote {len(rows)} sweep points to {args.out}")
     return 0
 
@@ -1094,7 +1091,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="directory levels (kind=directory)")
     sweep.add_argument("--filters", type=int, nargs="*", default=[1, 10, 100],
                        help="access filters (kind=directory)")
-    sweep.add_argument("--engine", choices=("fast", "reference"), default="fast")
     sweep.add_argument("--processes", type=int, default=None,
                        help="worker processes (default: one per CPU)")
     sweep.add_argument("--out", default=None, help="write sweep points as JSON")

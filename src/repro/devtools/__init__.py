@@ -3,11 +3,11 @@
 The reproduction rests on two guarantees that ordinary tests only probe
 after the fact:
 
-* **bit-identical replay** — the reference engine
-  (:func:`repro.analysis.prediction.replay`) and the interned engine
-  (:mod:`repro.analysis.fastreplay`) must produce identical metrics, which
-  requires every analysis path to be deterministic (no wall clock, no
-  global RNG, no id()/set-order dependence);
+* **bit-identical replay** — the replay engine
+  (:mod:`repro.analysis.fastreplay`) must produce the same metrics for
+  every chunking of a trace, and the same as the frozen reference replay
+  the tests keep, which requires every analysis path to be deterministic
+  (no wall clock, no global RNG, no id()/set-order dependence);
 * **deadlock- and leak-free wiring** — the threaded wire stack must never
   block on I/O while holding an engine lock, must acquire locks in one
   global order, and must close/join every socket, file, and thread.

@@ -581,7 +581,7 @@ def _is_sink(graph: CallGraph, qualname: str) -> str | None:
         info.name.startswith("append") or "encode" in info.name
     ):
         return "journal record bytes"
-    if info.module in ("repro.analysis.prediction", "repro.analysis.fastreplay"):
+    if info.module == "repro.analysis.fastreplay":
         for site in graph.sites(qualname):
             if site.external is not None and site.external.endswith(".ReplayMetrics"):
                 return "replay metrics"

@@ -1,14 +1,9 @@
 """API-invariant rules: cross-file parity checks.
 
-Two invariants that differential tests only probe on exercised paths:
-
-* **metrics parity** — the reference engine (``analysis/prediction.py``)
-  and the interned engine (``analysis/fastreplay.py``) must each write
-  every counter field of :class:`~repro.analysis.metrics.ReplayMetrics`;
-  a field one engine forgets silently breaks bit-identical replay;
-* **codec parity** — every ``key=`` attribute a ``format_*`` function in
-  ``httpmodel/piggy_codec.py`` emits must be handled by the paired
-  ``parse_*`` function, and vice versa, or headers stop round-tripping.
+**Codec parity**, an invariant that round-trip tests only probe on
+exercised paths: every ``key=`` attribute a ``format_*`` function in
+``httpmodel/piggy_codec.py`` emits must be handled by the paired
+``parse_*`` function, and vice versa, or headers stop round-tripping.
 """
 
 from __future__ import annotations
@@ -19,95 +14,9 @@ from collections.abc import Iterable, Sequence
 
 from .engine import Finding, ProjectRule, SourceModule, register
 
-_METRICS_PATH = "src/repro/analysis/metrics.py"
-_ENGINE_PATHS = (
-    "src/repro/analysis/prediction.py",
-    "src/repro/analysis/fastreplay.py",
-)
 _CODEC_PATH = "src/repro/httpmodel/piggy_codec.py"
 
 _KEY_RE = re.compile(r"(?:^|[^A-Za-z0-9_])([a-z][a-z0-9_]*)=")
-
-
-def _counter_fields(module: SourceModule, class_name: str) -> set[str]:
-    """Int-annotated dataclass fields of *class_name* (the replay counters)."""
-    for node in ast.walk(module.tree):
-        if isinstance(node, ast.ClassDef) and node.name == class_name:
-            fields = set()
-            for stmt in node.body:
-                if (
-                    isinstance(stmt, ast.AnnAssign)
-                    and isinstance(stmt.target, ast.Name)
-                    and isinstance(stmt.annotation, ast.Name)
-                    and stmt.annotation.id == "int"
-                ):
-                    fields.add(stmt.target.id)
-            return fields
-    return set()
-
-
-def _written_metric_fields(module: SourceModule, receiver: str) -> set[str]:
-    """Attributes assigned/augmented on a variable named *receiver*."""
-    written = set()
-    for node in ast.walk(module.tree):
-        target = None
-        if isinstance(node, ast.AugAssign):
-            target = node.target
-        elif isinstance(node, ast.Assign) and len(node.targets) == 1:
-            target = node.targets[0]
-        if (
-            isinstance(target, ast.Attribute)
-            and isinstance(target.value, ast.Name)
-            and target.value.id == receiver
-        ):
-            written.add(target.attr)
-    return written
-
-
-@register
-class ReplayMetricsParityRule(ProjectRule):
-    id = "api-replay-metrics-parity"
-    family = "api"
-    description = (
-        "Both replay engines must write every ReplayMetrics counter field."
-    )
-    metrics_path = _METRICS_PATH
-    engine_paths = _ENGINE_PATHS
-
-    def check_project(self, modules: Sequence[SourceModule]) -> Iterable[Finding]:
-        by_path = {module.relpath: module for module in modules}
-        metrics_module = by_path.get(self.metrics_path)
-        engines = [by_path.get(path) for path in self.engine_paths]
-        if metrics_module is None or any(engine is None for engine in engines):
-            return  # not all participants in scope: nothing to compare
-        expected = _counter_fields(metrics_module, "ReplayMetrics")
-        if not expected:
-            yield metrics_module.finding(
-                self, None, "ReplayMetrics has no int counter fields to check", line=1
-            )
-            return
-        written = {
-            engine.relpath: _written_metric_fields(engine, "metrics")
-            for engine in engines
-            if engine is not None
-        }
-        for path, fields in sorted(written.items()):
-            engine_module = by_path[path]
-            for missing in sorted(expected - fields):
-                yield engine_module.finding(
-                    self,
-                    None,
-                    f"engine never writes ReplayMetrics.{missing}; "
-                    "fast/reference parity is broken",
-                    line=1,
-                )
-            for unknown in sorted(fields - expected):
-                yield engine_module.finding(
-                    self,
-                    None,
-                    f"engine writes unknown metrics field {unknown!r}",
-                    line=1,
-                )
 
 
 def _function_defs(module: SourceModule) -> dict[str, ast.FunctionDef]:

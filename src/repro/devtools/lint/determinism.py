@@ -1,9 +1,10 @@
 """Determinism rules for the replay substrate.
 
-The fast and reference replay engines are only bit-identical because
-nothing in :mod:`repro.analysis`, :mod:`repro.traces`, or
-:mod:`repro.volumes` depends on wall-clock time, ambient entropy, the
-process-global RNG, memory addresses, or set iteration order.  These
+Replay is only bit-identical, run to run, across chunkings of a trace,
+and against the frozen reference replay the tests keep, because nothing
+in :mod:`repro.analysis`, :mod:`repro.traces`, or :mod:`repro.volumes`
+depends on wall-clock time, ambient entropy, the process-global RNG,
+memory addresses, or set iteration order.  These
 rules forbid each escape hatch; randomness must flow from a
 ``random.Random(seed)`` instance constructed from explicit config.
 """

@@ -5,7 +5,6 @@ from .intern import (
     COMPILE_CACHE,
     ChunkedCompiledTrace,
     CompileCache,
-    CompiledTrace,
     SymbolTable,
     TraceChunk,
     compile_trace,
@@ -39,7 +38,6 @@ __all__ = [
     "LogRecord",
     "Trace",
     "SymbolTable",
-    "CompiledTrace",
     "TraceChunk",
     "ChunkedCompiledTrace",
     "CompileCache",

@@ -1,23 +1,21 @@
-"""Interned, columnar trace representation for the high-throughput replay core.
+"""Interned, columnar trace representation for the replay core.
 
 The replay and estimation hot loops spend most of their time hashing URL
 and source strings, re-parsing directory prefixes, and re-deriving content
-types.  A :class:`CompiledTrace` does all of that exactly once: URLs and
-sources are mapped to dense integer ids through :class:`SymbolTable`, the
-records become parallel arrays of primitives, and per-URL derived columns
-(wire bytes, content-type ids, directory-prefix ids per level, total
-access counts) are computed on demand and then reused by every sweep point
-that replays the same trace.
+types.  A :class:`ChunkedCompiledTrace` does all of that exactly once:
+URLs, sources and methods are mapped to dense integer ids through
+:class:`SymbolTable`, the records become parallel arrays of primitives in
+:class:`TraceChunk` slabs, and per-URL derived columns (wire bytes,
+content-type ids, directory-prefix ids per level, total access counts) are
+computed on demand and then reused by every sweep point that replays the
+same trace.  Chunks keep statuses and methods too, so a compiled trace
+rebuilds its records exactly.
 
-For traces too large to hold as whole-trace arrays there is
-:class:`ChunkedCompiledTrace`: the same symbol tables and per-URL derived
-columns, but the record columns live in fixed-size :class:`TraceChunk`
-slabs that stream through the consumer one at a time.  Chunks can come
-from an in-memory list (small traces, tests) or from the compact on-disk
-format in :mod:`repro.traces.chunked`, so compile -> store -> iterate
-never materializes the whole trace.  Because URLs are interned in stream
-order in both representations, the id spaces agree and the streaming
-engines stay bit-identical to the in-memory ones.
+:func:`compile_trace` compiles an in-memory trace into a single chunk.
+Chunks can also come from the compact on-disk format in
+:mod:`repro.traces.chunked`, so compile -> store -> iterate never
+materializes the whole trace, and one consumer runs over both: URLs are
+interned in stream order either way, so the id spaces agree.
 
 Compiling is cheap (one pass) and memoized per
 :class:`~repro.traces.records.Trace` instance through a bounded
@@ -32,8 +30,7 @@ import math
 import weakref
 from array import array
 from collections import OrderedDict
-from collections.abc import Callable, Iterable, Iterator
-from typing import Union
+from collections.abc import Callable, Iterable, Iterator, Sequence
 
 from .. import urls as url_utils
 from ..core.piggyback import ELEMENT_FIXED_BYTES
@@ -43,7 +40,6 @@ from .records import LogRecord, Trace
 
 __all__ = [
     "SymbolTable",
-    "CompiledTrace",
     "TraceChunk",
     "ChunkedCompiledTrace",
     "CompileCache",
@@ -101,6 +97,12 @@ class SymbolTable:
         self._strings.append(string)
         return next_id
 
+    def intern_all(self, strings: Iterable[str]) -> list[int]:
+        """:meth:`intern` each of *strings*, in order."""
+        ids = self._ids
+        intern = self.intern
+        return [ids[string] if string in ids else intern(string) for string in strings]
+
     def id_of(self, string: str) -> int | None:
         """The id for *string*, or None if it was never interned."""
         return self._ids.get(string)
@@ -115,30 +117,199 @@ class SymbolTable:
         return self._strings
 
 
-class _InternedColumns:
-    """Symbol tables plus lazily-built per-URL derived columns.
+class TraceChunk:
+    """One fixed-size columnar slab of a :class:`ChunkedCompiledTrace`.
 
-    Shared by the whole-trace :class:`CompiledTrace` and the streaming
-    :class:`ChunkedCompiledTrace`; both keep the invariant that by the
-    time a derived column is read, :attr:`urls` holds every URL the trace
-    references, so columns are built once over the full table and only
-    extended by :meth:`ensure_url`.
+    Record columns (all indexed by position in the chunk):
+
+    * ``timestamps`` — float seconds
+    * ``source_ids`` / ``url_ids`` — dense ids into the owner's symbol tables
+    * ``sizes`` — response bytes
+    * ``mtimes`` — Last-Modified seconds, NaN when the record had none
+    * ``statuses`` / ``method_ids`` — HTTP status and method id, so a chunk
+      stream is a lossless container for
+      :class:`~repro.traces.records.LogRecord` sequences
+
+    ``start`` is the chunk's global record offset in the trace.
     """
 
     __slots__ = (
-        "urls", "sources", "content_types",
-        "_wire_bytes", "_content_type_ids", "_url_counts", "_prefix_columns",
+        "start", "timestamps", "source_ids", "url_ids", "sizes", "mtimes",
+        "statuses", "method_ids",
     )
 
-    def __init__(self) -> None:
+    def __init__(self, start: int = 0) -> None:
+        self.start = start
+        self.timestamps = array("d")
+        self.source_ids = array("q")
+        self.url_ids = array("q")
+        self.sizes = array("q")
+        self.mtimes = array("d")
+        self.statuses = array("H")
+        self.method_ids = array("B")
+
+    def __len__(self) -> int:
+        return len(self.url_ids)
+
+    def __repr__(self) -> str:
+        return f"TraceChunk(start={self.start}, {len(self)} records)"
+
+    def records(
+        self, urls: SymbolTable, sources: SymbolTable, methods: SymbolTable
+    ) -> Iterator[LogRecord]:
+        """Reconstruct the chunk's records (needs the owning tables)."""
+        url_strings = urls.strings
+        source_strings = sources.strings
+        method_strings = methods.strings
+        for index in range(len(self.url_ids)):
+            mtime = self.mtimes[index]
+            yield LogRecord(
+                timestamp=self.timestamps[index],
+                source=source_strings[self.source_ids[index]],
+                url=url_strings[self.url_ids[index]],
+                method=method_strings[self.method_ids[index]],
+                status=self.statuses[index],
+                size=self.sizes[index],
+                last_modified=None if math.isnan(mtime) else mtime,
+            )
+
+
+class ChunkedCompiledTrace:
+    """A compiled trace: symbol tables, per-URL columns, record chunks.
+
+    The symbol tables and per-URL derived columns are whole-trace (they
+    are O(urls), which every consumer needs anyway); only the O(records)
+    columns are chunked.  Three ways to get one:
+
+    * :func:`compile_trace` compiles a trace into one in-memory chunk;
+    * :meth:`from_records` compiles an iterable into an in-memory chunk
+      list (small chunks exercise the streaming paths in tests);
+    * :func:`repro.traces.chunked.open_chunked_trace` binds one to an
+      on-disk chunk file, where every :meth:`chunks` call re-reads the
+      file sequentially and only one chunk is resident at a time.
+
+    In every case the URL table is complete before any consumer runs (the
+    builder interned every URL; the file trailer carries the full table),
+    so url ids, derived columns, and whole-trace access counts do not
+    depend on the chunking — the property the bit-identical streaming
+    engines rely on.  Derived columns are built once over the full table
+    and only extended by :meth:`ensure_url`.
+    """
+
+    __slots__ = (
+        "urls", "sources", "methods", "content_types", "record_count",
+        "_wire_bytes", "_content_type_ids", "_url_counts", "_prefix_columns",
+        "_chunks", "_chunk_source", "__weakref__",
+    )
+
+    def __init__(
+        self,
+        chunk_source: Callable[[], Iterator[TraceChunk]] | None = None,
+    ) -> None:
         self.urls = SymbolTable()
         self.sources = SymbolTable()
+        self.methods = SymbolTable()
         self.content_types = SymbolTable()
+        self.record_count = 0
         self._wire_bytes: list[int] | None = None
         self._content_type_ids: list[int] | None = None
-        self._url_counts: list[int] | None = None
+        self._url_counts: list[int] = []  # maintained while chunks are built
         # level -> (SymbolTable of prefixes, list of prefix ids per url id)
         self._prefix_columns: dict[int, tuple[SymbolTable, list[int]]] = {}
+        self._chunks: list[TraceChunk] = []
+        self._chunk_source = chunk_source
+
+    @classmethod
+    def from_records(
+        cls,
+        records: Iterable[LogRecord],
+        chunk_records: int = DEFAULT_CHUNK_RECORDS,
+    ) -> "ChunkedCompiledTrace":
+        """Compile *records* into an in-memory chunk list."""
+        if chunk_records < 1:
+            raise ValueError("chunk_records must be >= 1")
+        chunked = cls()
+        batch: list[LogRecord] = []
+        for record in records:
+            batch.append(record)
+            if len(batch) >= chunk_records:
+                chunked._chunks.append(chunked.compile_chunk(batch))
+                batch.clear()
+        if batch:
+            chunked._chunks.append(chunked.compile_chunk(batch))
+        return chunked
+
+    def __len__(self) -> int:
+        return self.record_count
+
+    def __repr__(self) -> str:
+        backing = "file-backed" if self._chunk_source is not None else "in-memory"
+        return (
+            f"ChunkedCompiledTrace({self.record_count} records, "
+            f"{len(self.urls)} urls, {backing})"
+        )
+
+    def compile_chunk(self, records: Iterable[LogRecord]) -> TraceChunk:
+        """Intern and columnarize one batch of records into a new chunk.
+
+        Updates the symbol tables, whole-trace access counts, and record
+        count; the caller decides where the chunk lives (in-memory list,
+        on-disk frame).  Each column is built in one comprehension, which
+        is what keeps compiling a whole trace cheap.
+        """
+        batch = records if isinstance(records, Sequence) else list(records)
+        chunk = TraceChunk(start=self.record_count)
+        url_ids = self.urls.intern_all([r.url for r in batch])
+        chunk.timestamps.fromlist([r.timestamp for r in batch])
+        chunk.source_ids.fromlist(self.sources.intern_all([r.source for r in batch]))
+        chunk.url_ids.fromlist(url_ids)
+        chunk.sizes.fromlist([r.size for r in batch])
+        chunk.mtimes.fromlist([_NAN if (m := r.last_modified) is None else m for r in batch])
+        chunk.statuses.fromlist([r.status for r in batch])
+        chunk.method_ids.fromlist(self.methods.intern_all([r.method for r in batch]))
+        counts = self._url_counts
+        counts.extend([0] * (len(self.urls) - len(counts)))
+        for url_id in url_ids:
+            counts[url_id] += 1
+        self.record_count += len(batch)
+        return chunk
+
+    def preload_urls(self, url_strings: Iterable[str], counts: Iterable[int]) -> None:
+        """Install the complete URL table and access counts up front.
+
+        Used by the chunk-file reader: the trailer carries the final URL
+        table, so consumers see the full id space before the first chunk
+        streams (matching in-memory compilation, where the table is
+        complete before any derived column is read).
+        """
+        for url in url_strings:
+            self.urls.intern(url)
+        self._url_counts[:] = list(counts)
+        if len(self._url_counts) != len(self.urls):
+            raise ValueError(
+                "url count column does not match the url table "
+                f"({len(self._url_counts)} counts, {len(self.urls)} urls)"
+            )
+
+    def chunks(self) -> Iterator[TraceChunk]:
+        """Iterate the trace's chunks in order (restartable).
+
+        File-backed traces open a fresh sequential reader per call, so
+        multi-pass consumers (estimator pass then replay pass; forked
+        sweep workers) each stream the file independently.
+        """
+        if self._chunk_source is not None:
+            return self._chunk_source()
+        return iter(self._chunks)
+
+    def records(self) -> Iterator[LogRecord]:
+        """Reconstruct the full record stream (one chunk resident at a time)."""
+        for chunk in self.chunks():
+            yield from chunk.records(self.urls, self.sources, self.methods)
+
+    def url_counts(self) -> list[int]:
+        """Total access count per url id over the whole trace."""
+        return self._url_counts
 
     # -- per-URL derived columns -------------------------------------------
 
@@ -204,268 +375,10 @@ class _InternedColumns:
                 self._content_type_ids.append(
                     self.content_types.intern(url_utils.content_type_of(url))
                 )
-            if self._url_counts is not None:
-                self._url_counts.append(0)
+            self._url_counts.append(0)
             for level, (table, ids) in self._prefix_columns.items():
                 ids.append(table.intern(url_utils.directory_prefix(url, level)))
         return url_id
-
-
-class CompiledTrace(_InternedColumns):
-    """A trace compiled to parallel primitive arrays plus symbol tables.
-
-    Record columns (all indexed by record position):
-
-    * ``timestamps`` — float seconds
-    * ``source_ids`` / ``url_ids`` — dense ids into :attr:`sources` / :attr:`urls`
-    * ``sizes`` — response bytes
-    * ``mtimes`` — Last-Modified seconds, NaN when the record had none
-
-    Per-URL derived columns (indexed by url id) are built lazily and
-    cached: :meth:`wire_bytes`, :meth:`content_type_ids`,
-    :meth:`directory_prefix_ids`, :meth:`url_counts`.
-    """
-
-    __slots__ = (
-        "timestamps", "source_ids", "url_ids", "sizes", "mtimes",
-        "__weakref__",
-    )
-
-    def __init__(self, trace: Iterable[LogRecord]) -> None:
-        super().__init__()
-        self.timestamps = array("d")
-        self.source_ids = array("l")
-        self.url_ids = array("l")
-        self.sizes = array("q")
-        self.mtimes = array("d")
-        intern_url = self.urls.intern
-        intern_source = self.sources.intern
-        for record in trace:
-            self.timestamps.append(record.timestamp)
-            self.source_ids.append(intern_source(record.source))
-            self.url_ids.append(intern_url(record.url))
-            self.sizes.append(record.size)
-            mtime = record.last_modified
-            self.mtimes.append(_NAN if mtime is None else mtime)
-
-    def __len__(self) -> int:
-        return len(self.url_ids)
-
-    def __repr__(self) -> str:
-        return (
-            f"CompiledTrace({len(self)} records, {len(self.urls)} urls, "
-            f"{len(self.sources)} sources)"
-        )
-
-    def url_counts(self) -> list[int]:
-        """Total access count per url id over the whole trace."""
-        if self._url_counts is None:
-            counts = [0] * len(self.urls)
-            for url_id in self.url_ids:
-                counts[url_id] += 1
-            self._url_counts = counts
-        return self._url_counts
-
-    def has_mtime(self, index: int) -> bool:
-        """True when record *index* carried a Last-Modified value."""
-        return not math.isnan(self.mtimes[index])
-
-
-class TraceChunk:
-    """One fixed-size columnar slab of a :class:`ChunkedCompiledTrace`.
-
-    Holds the same record columns as :class:`CompiledTrace` plus HTTP
-    status and method-id columns so a chunk stream is a lossless container
-    for :class:`~repro.traces.records.LogRecord` sequences (client-log
-    statistics need statuses; round-tripping needs methods).  ``start`` is
-    the chunk's global record offset in the trace.
-    """
-
-    __slots__ = (
-        "start", "timestamps", "source_ids", "url_ids", "sizes", "mtimes",
-        "statuses", "method_ids",
-    )
-
-    def __init__(self, start: int = 0) -> None:
-        self.start = start
-        self.timestamps = array("d")
-        self.source_ids = array("q")
-        self.url_ids = array("q")
-        self.sizes = array("q")
-        self.mtimes = array("d")
-        self.statuses = array("H")
-        self.method_ids = array("B")
-
-    def __len__(self) -> int:
-        return len(self.url_ids)
-
-    def __repr__(self) -> str:
-        return f"TraceChunk(start={self.start}, {len(self)} records)"
-
-    def records(
-        self, urls: SymbolTable, sources: SymbolTable, methods: SymbolTable
-    ) -> Iterator[LogRecord]:
-        """Reconstruct the chunk's records (needs the owning tables)."""
-        url_strings = urls.strings
-        source_strings = sources.strings
-        method_strings = methods.strings
-        for index in range(len(self.url_ids)):
-            mtime = self.mtimes[index]
-            yield LogRecord(
-                timestamp=self.timestamps[index],
-                source=source_strings[self.source_ids[index]],
-                url=url_strings[self.url_ids[index]],
-                method=method_strings[self.method_ids[index]],
-                status=self.statuses[index],
-                size=self.sizes[index],
-                last_modified=None if math.isnan(mtime) else mtime,
-            )
-
-
-class ChunkedCompiledTrace(_InternedColumns):
-    """A compiled trace whose record columns stream through fixed chunks.
-
-    The symbol tables and per-URL derived columns are whole-trace (they
-    are O(urls), which every consumer needs anyway); only the O(records)
-    columns are chunked.  Two ways to get one:
-
-    * :meth:`from_records` compiles an iterable into an in-memory chunk
-      list (small traces, tests);
-    * :func:`repro.traces.chunked.open_chunked_trace` binds one to an
-      on-disk chunk file, where every :meth:`chunks` call re-reads the
-      file sequentially and only one chunk is resident at a time.
-
-    In both cases the URL table is complete before any consumer runs (the
-    builder interned every URL; the file trailer carries the full table),
-    so url ids, derived columns, and whole-trace access counts are
-    identical to compiling the same records into a :class:`CompiledTrace`
-    — the property the bit-identical streaming engines rely on.
-    """
-
-    __slots__ = (
-        "methods", "record_count", "_chunks", "_chunk_source", "__weakref__",
-    )
-
-    def __init__(
-        self,
-        chunk_source: Callable[[], Iterator[TraceChunk]] | None = None,
-    ) -> None:
-        super().__init__()
-        self.methods = SymbolTable()
-        self.record_count = 0
-        self._url_counts = []  # maintained eagerly while chunks are built
-        self._chunks: list[TraceChunk] = []
-        self._chunk_source = chunk_source
-
-    @classmethod
-    def from_records(
-        cls,
-        records: Iterable[LogRecord],
-        chunk_records: int = DEFAULT_CHUNK_RECORDS,
-    ) -> "ChunkedCompiledTrace":
-        """Compile *records* into an in-memory chunk list."""
-        if chunk_records < 1:
-            raise ValueError("chunk_records must be >= 1")
-        chunked = cls()
-        batch: list[LogRecord] = []
-        for record in records:
-            batch.append(record)
-            if len(batch) >= chunk_records:
-                chunked._chunks.append(chunked.compile_chunk(batch))
-                batch.clear()
-        if batch:
-            chunked._chunks.append(chunked.compile_chunk(batch))
-        return chunked
-
-    def __len__(self) -> int:
-        return self.record_count
-
-    def __repr__(self) -> str:
-        backing = "file-backed" if self._chunk_source is not None else "in-memory"
-        return (
-            f"ChunkedCompiledTrace({self.record_count} records, "
-            f"{len(self.urls)} urls, {backing})"
-        )
-
-    def compile_chunk(self, records: Iterable[LogRecord]) -> TraceChunk:
-        """Intern and columnarize one batch of records into a new chunk.
-
-        Updates the symbol tables, whole-trace access counts, and record
-        count; the caller decides where the chunk lives (in-memory list,
-        on-disk frame).
-        """
-        chunk = TraceChunk(start=self.record_count)
-        intern_url = self.urls.intern
-        intern_source = self.sources.intern
-        intern_method = self.methods.intern
-        counts = self._url_counts
-        assert counts is not None  # eager for chunked traces
-        timestamps = chunk.timestamps
-        source_ids = chunk.source_ids
-        url_ids = chunk.url_ids
-        sizes = chunk.sizes
-        mtimes = chunk.mtimes
-        statuses = chunk.statuses
-        method_ids = chunk.method_ids
-        for record in records:
-            timestamps.append(record.timestamp)
-            source_ids.append(intern_source(record.source))
-            url_id = intern_url(record.url)
-            url_ids.append(url_id)
-            sizes.append(record.size)
-            mtime = record.last_modified
-            mtimes.append(_NAN if mtime is None else mtime)
-            statuses.append(record.status)
-            method_ids.append(intern_method(record.method))
-            if url_id == len(counts):
-                counts.append(1)
-            else:
-                counts[url_id] += 1
-        self.record_count += len(chunk)
-        return chunk
-
-    def preload_urls(self, url_strings: Iterable[str], counts: Iterable[int]) -> None:
-        """Install the complete URL table and access counts up front.
-
-        Used by the chunk-file reader: the trailer carries the final URL
-        table, so consumers see the full id space before the first chunk
-        streams (matching in-memory compilation, where the table is
-        complete before any derived column is read).
-        """
-        for url in url_strings:
-            self.urls.intern(url)
-        assert self._url_counts is not None
-        self._url_counts[:] = list(counts)
-        if len(self._url_counts) != len(self.urls):
-            raise ValueError(
-                "url count column does not match the url table "
-                f"({len(self._url_counts)} counts, {len(self.urls)} urls)"
-            )
-
-    def chunks(self) -> Iterator[TraceChunk]:
-        """Iterate the trace's chunks in order (restartable).
-
-        File-backed traces open a fresh sequential reader per call, so
-        multi-pass consumers (estimator pass then replay pass; forked
-        sweep workers) each stream the file independently.
-        """
-        if self._chunk_source is not None:
-            return self._chunk_source()
-        return iter(self._chunks)
-
-    def records(self) -> Iterator[LogRecord]:
-        """Reconstruct the full record stream (one chunk resident at a time)."""
-        for chunk in self.chunks():
-            yield from chunk.records(self.urls, self.sources, self.methods)
-
-    def url_counts(self) -> list[int]:
-        """Total access count per url id over the whole trace."""
-        assert self._url_counts is not None
-        return self._url_counts
-
-
-#: Anything the fast engines accept as an already-compiled trace.
-CompiledLike = Union[CompiledTrace, ChunkedCompiledTrace]
 
 
 def growing_id_space(name: str, level: int | None = None) -> ChunkedCompiledTrace:
@@ -502,7 +415,7 @@ def _element_wire_bytes(url: str) -> int:
 
 
 class CompileCache:
-    """Bounded LRU of ``Trace -> CompiledTrace`` keyed by weak identity.
+    """Bounded LRU of ``Trace -> ChunkedCompiledTrace`` keyed by weak identity.
 
     Entries hold the trace only weakly (a dead trace's entry is removed by
     its weakref callback), and the cache is capped so long-lived processes
@@ -515,12 +428,12 @@ class CompileCache:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        self._entries: OrderedDict[weakref.ref[Trace], CompiledTrace] = OrderedDict()
+        self._entries: OrderedDict[weakref.ref[Trace], ChunkedCompiledTrace] = OrderedDict()
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def get(self, trace: Trace) -> CompiledTrace | None:
+    def get(self, trace: Trace) -> ChunkedCompiledTrace | None:
         """The cached compilation of *trace*, refreshing its LRU position.
 
         Raises TypeError for non-weakrefable inputs (the caller compiles
@@ -532,7 +445,7 @@ class CompileCache:
             self._entries.move_to_end(key)
         return compiled
 
-    def put(self, trace: Trace, compiled: CompiledTrace) -> None:
+    def put(self, trace: Trace, compiled: ChunkedCompiledTrace) -> None:
         """Insert (or refresh) an entry, evicting LRU entries over capacity."""
         key = weakref.ref(trace, self._entries_discard)
         self._entries[key] = compiled
@@ -560,24 +473,30 @@ class CompileCache:
 COMPILE_CACHE = CompileCache()
 
 
-def compile_trace(trace: Trace | CompiledLike) -> CompiledLike:
-    """Compile *trace* once; repeated calls return the cached compilation.
+def compile_trace(trace: Trace | ChunkedCompiledTrace) -> ChunkedCompiledTrace:
+    """Compile *trace* once into one chunk; repeated calls return the cached compilation.
 
-    Already-compiled inputs (whole-trace or chunked) pass through.  The
-    cache is the bounded :data:`COMPILE_CACHE` LRU; hits and misses are
-    counted in the ``trace_compile_cache_*`` telemetry pair.
+    Already-compiled inputs pass through.  The cache is the bounded
+    :data:`COMPILE_CACHE` LRU; hits and misses are counted in the
+    ``trace_compile_cache_*`` telemetry pair.
     """
-    if isinstance(trace, (CompiledTrace, ChunkedCompiledTrace)):
+    if isinstance(trace, ChunkedCompiledTrace):
         return trace
     try:
         compiled = COMPILE_CACHE.get(trace)
     except TypeError:  # unhashable/unweakrefable inputs: compile fresh
         _TEL_COMPILE_CACHE_MISSES.inc()
-        return CompiledTrace(trace)
+        return _compile_one_chunk(trace)
     if compiled is not None:
         _TEL_COMPILE_CACHE_HITS.inc()
         return compiled
     _TEL_COMPILE_CACHE_MISSES.inc()
-    compiled = CompiledTrace(trace)
+    compiled = _compile_one_chunk(trace)
     COMPILE_CACHE.put(trace, compiled)
+    return compiled
+
+
+def _compile_one_chunk(records: Iterable[LogRecord]) -> ChunkedCompiledTrace:
+    compiled = ChunkedCompiledTrace()
+    compiled._chunks.append(compiled.compile_chunk(records))
     return compiled

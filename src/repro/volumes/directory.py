@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from .. import urls
 from ..core.filters import CandidateElement
 from ..devtools.racecheck import share
-from ..traces.intern import CompiledLike, growing_id_space
+from ..traces.intern import ChunkedCompiledTrace, growing_id_space
 from ..traces.records import LogRecord
 from .base import VolumeIdAllocator, VolumeLookup, VolumeStore, VolumeVersion
 
@@ -163,7 +163,7 @@ class DirectoryVolumeStore(VolumeStore):
     def __init__(
         self,
         config: DirectoryVolumeConfig = DirectoryVolumeConfig(),
-        id_space: CompiledLike | None = None,
+        id_space: ChunkedCompiledTrace | None = None,
     ):
         self.config = config
         self._allocator = VolumeIdAllocator()
@@ -178,18 +178,18 @@ class DirectoryVolumeStore(VolumeStore):
             else growing_id_space("DirectoryVolumeStore.id_space", config.level)
         )
 
-    def _bind(self, id_space: CompiledLike) -> None:
+    def _bind(self, id_space: ChunkedCompiledTrace) -> None:
         self._id_space = id_space
         self._type_ids = id_space.content_type_ids()
         # url id -> volume key, extended as new ids arrive (see _key_at).
         self._key_of: list[str] = share([], "DirectoryVolumeStore._key_of")
 
     @property
-    def id_space(self) -> CompiledLike:
+    def id_space(self) -> ChunkedCompiledTrace:
         """The id space whose URL ids :meth:`observe_id` and :meth:`lookup_id` take."""
         return self._id_space
 
-    def adopt_id_space(self, id_space: CompiledLike) -> None:
+    def adopt_id_space(self, id_space: ChunkedCompiledTrace) -> None:
         """Move a store that holds no entries onto *id_space*.
 
         Raises ValueError once the store holds entries: their ids belong

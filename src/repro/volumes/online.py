@@ -51,8 +51,9 @@ class OnlineProbabilityVolumeStore(ProbabilityVolumeStore):
     The store and its estimator share one id space.  Between rebuilds the
     store serves like a :class:`ProbabilityVolumeStore`, except that its
     :meth:`lookup_version` is the store-wide one: a rebuild replaces every
-    volume at once.  For the same reason the fast replay engine, which
-    caches piggyback messages per volume, refuses to replay it.
+    volume at once.  For the same reason the replay engine, which caches
+    piggyback messages per volume, replays it through
+    :class:`~repro.volumes.interned.RecordFedStore` instead.
     """
 
     def __init__(self, config: OnlineVolumeConfig = OnlineVolumeConfig()):

@@ -28,13 +28,7 @@ from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 from ..core.filters import CandidateElement
-from ..traces.intern import (
-    ChunkedCompiledTrace,
-    CompiledLike,
-    CompiledTrace,
-    compile_trace,
-    growing_id_space,
-)
+from ..traces.intern import ChunkedCompiledTrace, compile_trace, growing_id_space
 from ..traces.records import LogRecord, Trace
 from .base import VolumeIdAllocator, VolumeLookup, VolumeStore, VolumeVersion
 
@@ -100,8 +94,8 @@ class PairwiseEstimator:
     keyed by one packed int of URL ids, and directory agreement is an id
     comparison against a prefix column.
 
-    Over a :class:`ChunkedCompiledTrace` (including one bound to an
-    on-disk chunk file), :meth:`run` streams chunk by chunk and
+    Over a multi-chunk trace (such as one bound to an on-disk chunk
+    file), :meth:`run` streams chunk by chunk and
     periodically drops per-source windows whose entries have all aged out
     (a drained window and a missing one behave identically), keeping
     resident state at O(active sources + counters).
@@ -115,7 +109,7 @@ class PairwiseEstimator:
     def __init__(
         self,
         config: PairwiseConfig = PairwiseConfig(),
-        id_space: CompiledLike | None = None,
+        id_space: ChunkedCompiledTrace | None = None,
     ):
         self.config = config
         level = config.same_directory_level
@@ -133,7 +127,7 @@ class PairwiseEstimator:
         )
 
     @property
-    def id_space(self) -> CompiledLike:
+    def id_space(self) -> ChunkedCompiledTrace:
         """The id space whose records :meth:`run` consumes."""
         return self._id_space
 
@@ -170,35 +164,29 @@ class PairwiseEstimator:
     def run(self, upto: int | None = None) -> "PairwiseEstimator":
         """Consume id-space records up to index *upto* (default: all); idempotent.
 
-        Chunked traces are streamed one chunk at a time; array-backed
-        traces are consumed in a single batch.
+        The trace's chunks are streamed one at a time.
         """
         compiled = self._id_space
         end = len(compiled) if upto is None else min(upto, len(compiled))
         if self._position >= end:
             return self
-        if isinstance(compiled, ChunkedCompiledTrace):
-            since_prune = 0
-            for chunk in compiled.chunks():
-                chunk_end = chunk.start + len(chunk)
-                if chunk_end <= self._position:
-                    continue
-                lo = self._position - chunk.start
-                hi = min(end, chunk_end) - chunk.start
-                self._observe_batch(
-                    chunk.timestamps, chunk.source_ids, chunk.url_ids, lo, hi
-                )
-                self._position = chunk.start + hi
-                since_prune += hi - lo
-                if self._position >= end:
-                    break
-                if since_prune >= self.PRUNE_INTERVAL_RECORDS and hi > lo:
-                    self._prune_windows(chunk.timestamps[hi - 1])
-                    since_prune = 0
-        else:
-            columns = compiled.timestamps, compiled.source_ids, compiled.url_ids
-            self._observe_batch(*columns, self._position, end)
-            self._position = end
+        since_prune = 0
+        for chunk in compiled.chunks():
+            chunk_end = chunk.start + len(chunk)
+            if chunk_end <= self._position:
+                continue
+            lo = self._position - chunk.start
+            hi = min(end, chunk_end) - chunk.start
+            self._observe_batch(
+                chunk.timestamps, chunk.source_ids, chunk.url_ids, lo, hi
+            )
+            self._position = chunk.start + hi
+            since_prune += hi - lo
+            if self._position >= end:
+                break
+            if since_prune >= self.PRUNE_INTERVAL_RECORDS and hi > lo:
+                self._prune_windows(chunk.timestamps[hi - 1])
+                since_prune = 0
         return self
 
     def _prune_windows(self, now: float) -> None:
@@ -311,7 +299,7 @@ class PairwiseEstimator:
 
 
 def estimate_pairwise(
-    trace: Trace | CompiledTrace | ChunkedCompiledTrace,
+    trace: Trace | ChunkedCompiledTrace,
     config: PairwiseConfig = PairwiseConfig(),
 ) -> PairwiseEstimator:
     """Compile *trace* (memoized) and run the estimator over its records.
@@ -452,7 +440,9 @@ class ProbabilityVolumeStore(VolumeStore):
     the compiled trace it replays.  Without one the store grows its own.
     """
 
-    def __init__(self, volumes: ProbabilityVolumes, id_space: CompiledLike | None = None):
+    def __init__(
+        self, volumes: ProbabilityVolumes, id_space: ChunkedCompiledTrace | None = None
+    ):
         self.volumes = volumes
         self._allocator = VolumeIdAllocator()
         # Per-antecedent epochs, bumped only on piggyback-visible changes
@@ -463,7 +453,7 @@ class ProbabilityVolumeStore(VolumeStore):
             else growing_id_space("ProbabilityVolumeStore.id_space")
         )
 
-    def _bind(self, id_space: CompiledLike) -> None:
+    def _bind(self, id_space: ChunkedCompiledTrace) -> None:
         self._id_space = id_space
         self._type_ids = id_space.content_type_ids()
         self.sizes, self.mtimes, self.access_counts = [], [], []
@@ -495,11 +485,11 @@ class ProbabilityVolumeStore(VolumeStore):
             self.access_counts.extend([0] * missing)
 
     @property
-    def id_space(self) -> CompiledLike:
+    def id_space(self) -> ChunkedCompiledTrace:
         """The id space whose URL ids :meth:`observe_id` takes."""
         return self._id_space
 
-    def adopt_id_space(self, id_space: CompiledLike) -> None:
+    def adopt_id_space(self, id_space: ChunkedCompiledTrace) -> None:
         """Move a store that has observed and numbered nothing onto *id_space*.
 
         Raises ValueError once it has: that state is keyed by the current

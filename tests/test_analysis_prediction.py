@@ -1,11 +1,15 @@
 """Semantics tests for the piggyback replay engine.
 
 These use tiny hand-built traces where every counter value can be derived
-by hand from the Section 3.1 definitions.
+by hand from the Section 3.1 definitions.  Every trace also runs through
+the frozen reference replay on the frozen directory store, which must
+agree exactly.
 """
 
 import pytest
 
+import directory_oracle
+import replay_oracle
 from repro.analysis.prediction import ReplayConfig, replay
 from repro.traces.records import Trace
 from repro.volumes.directory import DirectoryVolumeConfig, DirectoryVolumeStore
@@ -13,14 +17,13 @@ from repro.volumes.directory import DirectoryVolumeConfig, DirectoryVolumeStore
 from conftest import make_record
 
 
-def dir_store(level=1):
-    return DirectoryVolumeStore(
-        DirectoryVolumeConfig(level=level, partition_by_type=False)
-    )
-
-
 def run(records, config=None, level=1):
-    return replay(Trace(records), dir_store(level), config or ReplayConfig())
+    config = config or ReplayConfig()
+    volumes = DirectoryVolumeConfig(level=level, partition_by_type=False)
+    metrics = replay(Trace(records), DirectoryVolumeStore(volumes), config)
+    oracle_store = directory_oracle.DirectoryVolumeStore(volumes)
+    assert replay_oracle.replay(Trace(records), oracle_store, config) == metrics
+    return metrics
 
 
 class TestBasicAccounting:
@@ -228,3 +231,12 @@ class TestValidation:
             ReplayConfig(access_filter=-1)
         with pytest.raises(ValueError):
             ReplayConfig(rpv_min_gap=-1.0)
+
+    def test_element_cap_and_rpv_length_validated_up_front(self):
+        # A negative cap used to cap every piggyback at one element, and an
+        # empty RPV list failed mid-replay, on the first lookup.
+        with pytest.raises(ValueError, match="max_elements"):
+            ReplayConfig(max_elements=-1)
+        with pytest.raises(ValueError, match="rpv_max_entries"):
+            ReplayConfig(rpv_max_entries=0)
+        assert ReplayConfig(max_elements=0, rpv_max_entries=1).max_elements == 0

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+import replay_oracle
 from repro.analysis.prediction import ReplayConfig
 from repro.analysis.sweeps import (
     SweepPoint,
@@ -16,12 +17,22 @@ from repro.analysis.sweeps import (
 )
 from repro.cli import main
 from repro.volumes.directory import DirectoryVolumeConfig
+from repro.volumes.probability import (
+    PairwiseConfig,
+    build_probability_volumes_multi,
+    estimate_pairwise,
+)
 
 
 @pytest.fixture(scope="module")
 def server_trace(small_server_log):
     trace, _ = small_server_log
     return trace
+
+
+def _reference(trace, entries) -> list:
+    """The frozen serial reference replay of (store spec, config) entries."""
+    return replay_oracle.replay_many(trace, entries)
 
 
 class TestRunSweep:
@@ -38,8 +49,8 @@ class TestRunSweep:
                        ReplayConfig(rpv_min_gap=30.0)),
         ]
         fast = run_sweep(server_trace, points)
-        reference = run_sweep(server_trace, points, engine="reference")
-        assert [r.metrics for r in fast] == [r.metrics for r in reference]
+        reference = _reference(server_trace, [(p.store, p.config) for p in points])
+        assert [r.metrics for r in fast] == reference
         assert [r.label for r in fast] == ["a", "b", "c"]
         assert fast[0].param("level") == 1
         assert fast[1].param("level", default=-1) == -1
@@ -55,17 +66,24 @@ class TestRunSweep:
         assert [r.metrics for r in serial] == [r.metrics for r in parallel]
 
     def test_unknown_engine(self, server_trace):
-        with pytest.raises(ValueError, match="unknown engine"):
-            run_sweep(server_trace, [SweepPoint("a", DirectoryVolumeConfig())],
-                      engine="warp")
+        for engine in ("warp", "reference"):
+            with pytest.raises(ValueError, match="unknown engine"):
+                run_sweep(server_trace, [SweepPoint("a", DirectoryVolumeConfig())],
+                          engine=engine)
 
 
 class TestCannedSweeps:
     def test_threshold_sweep_fast_equals_reference(self, server_trace):
         thresholds = (0.1, 0.25, 0.5)
         fast = threshold_sweep(server_trace, thresholds)
-        reference = threshold_sweep(server_trace, thresholds, engine="reference")
-        assert [r.metrics for r in fast] == [r.metrics for r in reference]
+        volumes = build_probability_volumes_multi(
+            estimate_pairwise(server_trace, PairwiseConfig(window=300.0)), thresholds
+        )
+        config = ReplayConfig(max_elements=200)
+        reference = _reference(
+            server_trace, [(volumes[t], config) for t in sorted(thresholds)]
+        )
+        assert [r.metrics for r in fast] == reference
         assert [r.param("threshold") for r in fast] == sorted(thresholds)
         # Raising the threshold can only shrink volumes, never grow messages.
         sizes = [r.metrics.mean_piggyback_size for r in fast]
@@ -73,17 +91,23 @@ class TestCannedSweeps:
 
     def test_directory_sweep_fast_equals_reference(self, server_trace):
         fast = directory_sweep(server_trace, levels=(0, 1), access_filters=(1, 5))
-        reference = directory_sweep(server_trace, levels=(0, 1),
-                                    access_filters=(1, 5), engine="reference")
-        assert [r.metrics for r in fast] == [r.metrics for r in reference]
+        reference = _reference(server_trace, [
+            (DirectoryVolumeConfig(level=level),
+             ReplayConfig(max_elements=200, access_filter=access_filter))
+            for level in (0, 1) for access_filter in (1, 5)
+        ])
+        assert [r.metrics for r in fast] == reference
         assert len(fast) == 4
 
     def test_rpv_sweep_fast_equals_reference(self, server_trace):
         fast = rpv_sweep(server_trace, levels=(0,), access_filters=(5,),
                          min_gaps=(0.0, 60.0))
-        reference = rpv_sweep(server_trace, levels=(0,), access_filters=(5,),
-                              min_gaps=(0.0, 60.0), engine="reference")
-        assert [r.metrics for r in fast] == [r.metrics for r in reference]
+        reference = _reference(server_trace, [
+            (DirectoryVolumeConfig(level=0),
+             ReplayConfig(max_elements=200, access_filter=5, rpv_min_gap=gap))
+            for gap in (None, 60.0)
+        ])
+        assert [r.metrics for r in fast] == reference
         paced = {r.param("min_gap"): r.metrics for r in fast}
         assert paced[60.0].piggyback_messages <= paced[0.0].piggyback_messages
 

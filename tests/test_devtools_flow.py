@@ -19,7 +19,7 @@ from repro.devtools.flow.rules import (
     FlowLockAcrossBlockingRule,
 )
 from repro.devtools.lint import Policy, load_builtin_rules, run_lint
-from repro.devtools.lint.engine import LintReport, SourceModule, _parse_modules, collect_files
+from repro.devtools.lint.engine import LintReport, _parse_modules, collect_files
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -395,6 +395,42 @@ def test_determinism_taint_seeded_chain(tmp_path):
     assert "piggyback trailer bytes" in finding.message
     # Chain: the call in the codec, then the wall-clock read.
     assert len(finding.evidence) == 2
+
+
+def test_determinism_taint_wall_clock_into_replay_metrics(tmp_path):
+    report = flow_lint(
+        tmp_path,
+        {
+            "src/repro/analysis/__init__.py": "",
+            "src/repro/analysis/metrics.py": """
+                class ReplayMetrics:
+                    def __init__(self):
+                        self.requests = 0
+            """,
+            "src/repro/analysis/clockutil.py": """
+                import time
+
+
+                def stamp():
+                    return time.time()
+            """,
+            "src/repro/analysis/fastreplay.py": """
+                from .clockutil import stamp
+                from .metrics import ReplayMetrics
+
+
+                def score(count):
+                    metrics = ReplayMetrics()
+                    metrics.requests = count + int(stamp())
+                    return metrics
+            """,
+        },
+        FlowDeterminismTaintRule(),
+    )
+    assert [f.rule for f in report.findings] == ["flow-determinism-taint"]
+    finding = report.findings[0]
+    assert "replay metrics" in finding.message
+    assert "time.time()" in finding.message
 
 
 def test_determinism_taint_tainted_argument_into_sink(tmp_path):

@@ -13,8 +13,6 @@ import json
 import textwrap
 from pathlib import Path
 
-import pytest
-
 from repro.cli import main as cli_main
 from repro.devtools.lint import (
     Baseline,
@@ -23,7 +21,7 @@ from repro.devtools.lint import (
     registered_rules,
     run_lint,
 )
-from repro.devtools.lint.api import CodecParityRule, ReplayMetricsParityRule
+from repro.devtools.lint.api import CodecParityRule
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -442,50 +440,7 @@ def test_join_without_timeout_flagged(tmp_path):
     assert rule_ids(report) == ["res-join-timeout"]
 
 
-# -- API parity rules ----------------------------------------------------
-
-
-def _write_parity_fixture(tmp_path: Path, fast_writes_all: bool) -> None:
-    (tmp_path / "metrics.py").write_text(
-        textwrap.dedent(
-            """
-            class ReplayMetrics:
-                requests: int = 0
-                piggyback_bytes: int = 0
-            """
-        ),
-        encoding="utf-8",
-    )
-    (tmp_path / "reference.py").write_text(
-        textwrap.dedent(
-            """
-            def replay(metrics):
-                metrics.requests += 1
-                metrics.piggyback_bytes += 10
-            """
-        ),
-        encoding="utf-8",
-    )
-    fast_body = "def replay(metrics):\n    metrics.requests += 1\n"
-    if fast_writes_all:
-        fast_body += "    metrics.piggyback_bytes += 10\n"
-    (tmp_path / "fast.py").write_text(fast_body, encoding="utf-8")
-
-
-@pytest.mark.parametrize("fast_writes_all", [True, False])
-def test_replay_metrics_parity(tmp_path, fast_writes_all):
-    _write_parity_fixture(tmp_path, fast_writes_all)
-    rule = ReplayMetricsParityRule()
-    rule.metrics_path = "metrics.py"
-    rule.engine_paths = ("reference.py", "fast.py")
-    report = run_lint(
-        tmp_path, [tmp_path], policy=Policy.everywhere(), rules=[rule]
-    )
-    if fast_writes_all:
-        assert report.clean
-    else:
-        assert rule_ids(report) == ["api-replay-metrics-parity"]
-        assert "piggyback_bytes" in report.findings[0].message
+# -- API parity rule ----------------------------------------------------
 
 
 def test_codec_parity_detects_missing_key(tmp_path):

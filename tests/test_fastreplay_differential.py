@@ -1,15 +1,18 @@
-"""Differential tests: the interned fast path must be bit-identical.
+"""Differential tests: the replay engine must be bit-identical to the oracle.
 
-Every configuration here runs both the reference engine
-(:func:`repro.analysis.prediction.replay`) and the interned engine
+Every configuration here runs both the frozen reference replay
+(``replay_oracle``) and the engine
 (:func:`repro.analysis.fastreplay.replay_interned_multi`) on the same
 workloads and asserts *exact* equality of the resulting
 :class:`ReplayMetrics` — including the random-enable RNG streams, RPV
 suppression, wire-byte accounting, and the multi-config single-pass mode.
 Stores are referenced against the frozen string-keyed stores in
 ``directory_oracle`` and ``probability_oracle``, not against the id-space
-stores the engine replays.  The pairwise estimator is held to the same
-standard on `Implication` sets, against the oracle's string estimator.
+stores the engine replays.  Stores the engine feeds records to (online,
+fallback, popularity, warmed in another id space) are held to the oracle
+on both a one-chunk and a many-chunk trace.  The pairwise estimator is
+held to the same standard on `Implication` sets, against the oracle's
+string estimator.
 """
 
 from __future__ import annotations
@@ -20,14 +23,21 @@ import pytest
 
 import directory_oracle
 import probability_oracle
-from repro.analysis.fastreplay import replay_interned, replay_interned_multi
+import replay_oracle
+from repro.analysis.fastreplay import replay_interned_multi
 from repro.analysis.prediction import ReplayConfig, replay, replay_many
 from repro.core.filters import ProxyFilter
 from repro.core.piggyback import MAX_VOLUME_ID
-from repro.traces.intern import compile_trace
+from repro.traces.intern import ChunkedCompiledTrace, compile_trace
 from repro.traces.records import LogRecord, Trace
 from repro.volumes.directory import DirectoryVolumeConfig, DirectoryVolumeStore
-from repro.volumes.interned import UnsupportedStoreError, build_interned_store
+from repro.volumes.interned import RecordFedStore, build_interned_store
+from repro.volumes.online import OnlineProbabilityVolumeStore, OnlineVolumeConfig
+from repro.volumes.popularity import (
+    FallbackVolumeStore,
+    PopularityConfig,
+    PopularityVolumeStore,
+)
 from repro.volumes.sitewide import CrossHostVolumeStore
 from repro.volumes.probability import (
     PairwiseConfig,
@@ -74,13 +84,18 @@ DIRECTORY_CONFIGS = [
     DirectoryVolumeConfig(level=0, max_volume_size=30),
 ]
 
+ONLINE = OnlineVolumeConfig(
+    probability_threshold=0.2, rebuild_interval=21_600.0,
+    pairwise=PairwiseConfig(window=300.0), min_observations=20,
+)
+
 
 def _reference(trace, store_config, config):
     if isinstance(store_config, DirectoryVolumeConfig):
         store = directory_oracle.DirectoryVolumeStore(store_config)
     else:
         store = probability_oracle.ProbabilityVolumeStore(store_config)
-    return replay(trace, store, config)
+    return replay_oracle.replay(trace, store, config)
 
 
 def _two_host_trace(count: int = 400, seed: int = 5) -> Trace:
@@ -118,7 +133,7 @@ class TestDirectoryDifferential:
                              ids=[repr(c) for c in DIRECTORY_CONFIGS])
     def test_store_variants(self, server_trace, store_config):
         config = ReplayConfig(max_elements=20, access_filter=2)
-        assert replay_interned(server_trace, store_config, config) == _reference(
+        assert replay(server_trace, store_config, config) == _reference(
             server_trace, store_config, config
         )
 
@@ -126,7 +141,7 @@ class TestDirectoryDifferential:
                              ids=[str(i) for i in range(len(REPLAY_CONFIGS))])
     def test_replay_configs(self, server_trace, config):
         store_config = DirectoryVolumeConfig(level=1)
-        assert replay_interned(server_trace, store_config, config) == _reference(
+        assert replay(server_trace, store_config, config) == _reference(
             server_trace, store_config, config
         )
 
@@ -135,7 +150,7 @@ class TestProbabilityDifferential:
     @pytest.mark.parametrize("config", REPLAY_CONFIGS,
                              ids=[str(i) for i in range(len(REPLAY_CONFIGS))])
     def test_replay_configs(self, server_trace, volumes, config):
-        assert replay_interned(server_trace, volumes, config) == _reference(
+        assert replay(server_trace, volumes, config) == _reference(
             server_trace, volumes, config
         )
 
@@ -144,7 +159,7 @@ class TestProbabilityDifferential:
         estimator.observe_trace(burst_trace)
         volumes = build_probability_volumes(estimator, 0.5)
         for config in (ReplayConfig(), ReplayConfig(max_elements=1)):
-            assert replay_interned(burst_trace, volumes, config) == _reference(
+            assert replay(burst_trace, volumes, config) == _reference(
                 burst_trace, volumes, config
             )
 
@@ -170,8 +185,8 @@ class TestMultiConfigSinglePass:
         config_b = ReplayConfig(max_elements=50, rpv_min_gap=60.0)
         both = replay_interned_multi(server_trace, [(directory, config_a),
                                                     (directory, config_b)])
-        assert both[0] == replay_interned(server_trace, directory, config_a)
-        assert both[1] == replay_interned(server_trace, directory, config_b)
+        assert both[0] == replay(server_trace, directory, config_a)
+        assert both[1] == replay(server_trace, directory, config_b)
 
     def test_accepts_reference_store_instances(self, server_trace, volumes):
         config = ReplayConfig(max_elements=10)
@@ -189,7 +204,9 @@ class TestMultiConfigSinglePass:
         trace = _two_host_trace()
         config = ReplayConfig()
         fast = replay_many(trace, [(CrossHostVolumeStore(), config)])[0]
-        assert fast == replay(trace, directory_oracle.CrossHostVolumeStore(), config)
+        assert fast == replay_oracle.replay(
+            trace, directory_oracle.CrossHostVolumeStore(), config
+        )
 
     def test_warmed_store_instance_is_replayed_with_its_state(self, server_trace):
         records = list(server_trace)
@@ -198,14 +215,13 @@ class TestMultiConfigSinglePass:
         level1 = DirectoryVolumeConfig(level=1)
         oracle = directory_oracle.DirectoryVolumeStore(level1)
         oracle.observe_trace(warmup)
-        expected = replay(tail, oracle, config)
+        expected = replay_oracle.replay(tail, oracle, config)
 
-        # Warmed on its own id space: refused, naming the config to pass,
-        # never replayed from empty.
+        # Warmed on its own id space: fed the trace's records, never
+        # replayed from empty.
         warmed = DirectoryVolumeStore(level1)
         warmed.observe_trace(warmup)
-        with pytest.raises(UnsupportedStoreError, match="level=1"):
-            replay_many(tail, [(warmed, config)])
+        assert replay_many(tail, [(warmed, config)])[0] == expected
 
         # Warmed on the trace's own id space: replayed as it stands.
         store = DirectoryVolumeStore(level1, id_space=compile_trace(tail))
@@ -222,25 +238,84 @@ class TestMultiConfigSinglePass:
         config = ReplayConfig(access_filter=2, precount_accesses=False)
         oracle = probability_oracle.ProbabilityVolumeStore(volumes)
         oracle.observe_trace(warmup)
-        expected = replay(tail, oracle, config)
+        expected = replay_oracle.replay(tail, oracle, config)
         assert expected.piggyback_messages > 0
 
         warmed = ProbabilityVolumeStore(volumes)
         warmed.observe_trace(warmup)
-        with pytest.raises(UnsupportedStoreError, match="its volumes"):
-            replay_many(tail, [(warmed, config)])
+        assert replay_many(tail, [(warmed, config)])[0] == expected
 
         store = ProbabilityVolumeStore(volumes, id_space=compile_trace(tail))
         store.observe_trace(warmup)
         assert replay_many(tail, [(store, config)])[0] == expected
 
-    def test_unsupported_store_raises(self, server_trace):
-        from repro.volumes.online import OnlineProbabilityVolumeStore
 
-        with pytest.raises(UnsupportedStoreError):
-            build_interned_store(
-                compile_trace(server_trace), OnlineProbabilityVolumeStore()
+
+class TestRecordFedStores:
+    """Stores the engine replays by feeding them the trace's records."""
+
+    @pytest.fixture(scope="class", params=["one-chunk", "chunked"])
+    def traces(self, request, server_trace):
+        # The oracle replays the Trace; the engine one or many chunks.
+        if request.param == "one-chunk":
+            return server_trace, server_trace
+        return server_trace, ChunkedCompiledTrace.from_records(
+            list(server_trace), chunk_records=97
+        )
+
+    @pytest.mark.parametrize("config", REPLAY_CONFIGS,
+                             ids=[str(i) for i in range(len(REPLAY_CONFIGS))])
+    def test_online_store_matches_oracle(self, traces, config):
+        trace, replayed = traces
+        oracle = probability_oracle.OnlineProbabilityVolumeStore(ONLINE)
+        store = OnlineProbabilityVolumeStore(ONLINE)
+        assert isinstance(build_interned_store(compile_trace(replayed), store),
+                          RecordFedStore)
+        assert replay(replayed, store, config) == replay_oracle.replay(
+            trace, oracle, config
+        )
+        assert store.rebuilds == oracle.rebuilds > 0
+
+    @pytest.mark.parametrize("config", REPLAY_CONFIGS,
+                             ids=[str(i) for i in range(len(REPLAY_CONFIGS))])
+    def test_fallback_over_popularity_matches_oracle(self, traces, config):
+        trace, replayed = traces
+        popular = PopularityConfig(top_count=5, half_life=3_600.0)
+        level2 = DirectoryVolumeConfig(level=2)
+        oracle = FallbackVolumeStore(
+            directory_oracle.DirectoryVolumeStore(level2), PopularityVolumeStore(popular)
+        )
+        store = FallbackVolumeStore(
+            DirectoryVolumeStore(level2), PopularityVolumeStore(popular)
+        )
+        assert replay(replayed, store, config) == replay_oracle.replay(
+            trace, oracle, config
+        )
+
+    @pytest.mark.parametrize("config", REPLAY_CONFIGS,
+                             ids=[str(i) for i in range(len(REPLAY_CONFIGS))])
+    def test_store_warmed_in_its_own_id_space_matches_oracle(self, traces, config):
+        trace, replayed = traces
+        warmup = list(trace)[:150]
+        oracle = directory_oracle.DirectoryVolumeStore(DirectoryVolumeConfig(level=1))
+        oracle.observe_trace(warmup)
+        store = DirectoryVolumeStore(DirectoryVolumeConfig(level=1))
+        store.observe_trace(warmup)
+        assert replay(replayed, store, config) == replay_oracle.replay(
+            trace, oracle, config
+        )
+
+    def test_shared_record_fed_store_is_maintained_once(self, server_trace):
+        config_a = ReplayConfig(max_elements=5)
+        config_b = ReplayConfig(rpv_min_gap=60.0)
+        shared = OnlineProbabilityVolumeStore(ONLINE)
+        both = replay_many(server_trace, [(shared, config_a), (shared, config_b)])
+        assert both == [
+            replay_oracle.replay(
+                server_trace, probability_oracle.OnlineProbabilityVolumeStore(ONLINE), c
             )
+            for c in (config_a, config_b)
+        ]
 
 
 class TestVolumeIdOverflow:
@@ -261,7 +336,7 @@ class TestVolumeIdOverflow:
 
     def test_replay_numbers_past_the_cap(self, wide):
         volumes, trace = wide
-        metrics = replay_interned(trace, volumes, ReplayConfig(rpv_min_gap=30.0))
+        metrics = replay(trace, volumes, ReplayConfig(rpv_min_gap=30.0))
         assert metrics.piggyback_messages == self.COUNT
 
     def test_directory_replay_numbers_past_the_cap(self):
@@ -272,7 +347,7 @@ class TestVolumeIdOverflow:
             for i in range(2 * self.COUNT)
         )
         config = ReplayConfig(rpv_min_gap=30.0)
-        metrics = replay_interned(trace, DirectoryVolumeConfig(level=1), config)
+        metrics = replay(trace, DirectoryVolumeConfig(level=1), config)
         assert metrics.piggyback_messages == self.COUNT
 
     def test_serving_refuses_an_id_past_the_cap(self, wide):

@@ -5,6 +5,8 @@ import string
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import directory_oracle
+import replay_oracle
 from repro import urls
 from repro.analysis.prediction import ReplayConfig, replay
 from repro.core.filters import ProxyFilter
@@ -188,9 +190,11 @@ class TestReplayProperties:
     @settings(deadline=None)
     @given(st.lists(log_records(), max_size=80))
     def test_metric_invariants_on_random_traces(self, records):
-        store = DirectoryVolumeStore(DirectoryVolumeConfig(level=1))
-        metrics = replay(Trace(records), store,
-                         ReplayConfig(max_elements=10, rpv_min_gap=30.0))
+        volumes = DirectoryVolumeConfig(level=1)
+        config = ReplayConfig(max_elements=10, rpv_min_gap=30.0)
+        metrics = replay(Trace(records), DirectoryVolumeStore(volumes), config)
+        oracle_store = directory_oracle.DirectoryVolumeStore(volumes)
+        assert replay_oracle.replay(Trace(records), oracle_store, config) == metrics
         assert metrics.requests == len(records)
         assert metrics.predicted_requests <= metrics.requests
         assert metrics.predictions_true <= metrics.predictions_opened

@@ -6,9 +6,9 @@ element-wise :class:`ReplayMetrics`, RNG streams, RPV suppression, wire
 bytes, pair counters, sampling skips — must match *exactly*, for chunk
 sizes {1, 7, 4096}, for in-memory chunk lists and on-disk chunk files,
 and with state pruning forced to run at an aggressive cadence.  The
-in-memory baseline itself is held to the reference ``replay()`` on the
-frozen string-keyed stores from ``directory_oracle`` and
-``probability_oracle``.
+one-chunk baseline itself is held to the frozen reference replay in
+``replay_oracle`` on the frozen string-keyed stores from
+``directory_oracle`` and ``probability_oracle``.
 """
 
 from __future__ import annotations
@@ -17,9 +17,10 @@ import pytest
 
 import directory_oracle
 import probability_oracle
+import replay_oracle
 import repro.analysis.fastreplay as fastreplay
 from repro.analysis.fastreplay import replay_interned_multi
-from repro.analysis.prediction import ReplayConfig, replay
+from repro.analysis.prediction import ReplayConfig
 from repro.core.filters import ProxyFilter
 from repro.traces.chunked import open_chunked_trace, write_chunked_trace
 from repro.traces.intern import ChunkedCompiledTrace
@@ -84,7 +85,7 @@ def _reference(trace, store_config, config):
         store = directory_oracle.DirectoryVolumeStore(store_config)
     else:
         store = probability_oracle.ProbabilityVolumeStore(store_config)
-    return replay(trace, store, config)
+    return replay_oracle.replay(trace, store, config)
 
 
 class TestStreamingReplay:

@@ -11,9 +11,11 @@ import threading
 
 import pytest
 
+import directory_oracle
+import replay_oracle
 import repro.telemetry as telemetry
 from repro.analysis.fastreplay import replay_interned_multi
-from repro.analysis.prediction import ReplayConfig, replay
+from repro.analysis.prediction import ReplayConfig, replay_many
 from repro.analysis.sweeps import threshold_sweep
 from repro.telemetry import (
     DEFAULT_LATENCY_BUCKETS,
@@ -21,7 +23,7 @@ from repro.telemetry import (
     log_buckets,
 )
 from repro.traces.intern import compile_trace
-from repro.volumes.directory import DirectoryVolumeConfig, DirectoryVolumeStore
+from repro.volumes.directory import DirectoryVolumeConfig
 
 
 @pytest.fixture()
@@ -263,7 +265,7 @@ class TestReplayBitIdentity:
             telemetry.disable()
         assert instrumented == baseline
         reference = [
-            replay(trace, DirectoryVolumeStore(spec), config)
+            replay_oracle.replay(trace, directory_oracle.DirectoryVolumeStore(spec), config)
             for spec, config in entries
         ]
         assert instrumented == reference
@@ -272,13 +274,11 @@ class TestReplayBitIdentity:
         trace, _ = small_server_log
         compiled = compile_trace(trace)
         thresholds = (0.1, 0.3)
-        baseline = threshold_sweep(compiled, thresholds, engine="fast", processes=1)
+        baseline = threshold_sweep(compiled, thresholds, processes=1)
         telemetry.enable()
         try:
             before = telemetry.REGISTRY.snapshot().counters
-            instrumented = threshold_sweep(
-                compiled, thresholds, engine="fast", processes=1
-            )
+            instrumented = threshold_sweep(compiled, thresholds, processes=1)
             after = telemetry.REGISTRY.snapshot().counters
         finally:
             telemetry.disable()
@@ -290,3 +290,21 @@ class TestReplayBitIdentity:
             - before["analysis_sweep_points_completed_total"]
         )
         assert completed == len(thresholds)
+
+    def test_record_list_compiles_once_per_replay(self, small_server_log):
+        # A list cannot be weakly cached, so every compile is a miss: the
+        # replay's record count must come from the pass's own compile.
+        trace, _ = small_server_log
+        records = list(trace)
+        telemetry.enable()
+        try:
+            before = telemetry.REGISTRY.snapshot().counters
+            (metrics,) = replay_many(records, [(DirectoryVolumeConfig(level=1), ReplayConfig())])
+            after = telemetry.REGISTRY.snapshot().counters
+        finally:
+            telemetry.disable()
+        assert metrics.requests == len(records)
+        misses = "trace_compile_cache_misses_total"
+        assert after[misses] - before.get(misses, 0) == 1
+        replayed = "analysis_replay_records_total"
+        assert after[replayed] - before.get(replayed, 0) == len(records)

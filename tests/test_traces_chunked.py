@@ -1,7 +1,7 @@
 """Chunked compiled traces and the on-disk chunk format.
 
 Covers the in-memory :class:`ChunkedCompiledTrace` (id-space agreement
-with :class:`CompiledTrace`, restartable iteration), the file format
+across chunkings, restartable iteration), the file format
 (roundtrip fidelity, string-delta encoding, trailer preloading), loud
 failure on damaged files (CRC, truncation, bad magic/footer — always with
 the damaged offset), and the bounded ``compile_trace`` memoization cache.
@@ -10,7 +10,6 @@ the damaged offset), and the bounded ``compile_trace`` memoization cache.
 from __future__ import annotations
 
 import struct
-import zlib
 
 import pytest
 
@@ -21,12 +20,7 @@ from repro.traces.chunked import (
     verify_chunk_file,
     write_chunked_trace,
 )
-from repro.traces.intern import (
-    ChunkedCompiledTrace,
-    CompileCache,
-    CompiledTrace,
-    compile_trace,
-)
+from repro.traces.intern import ChunkedCompiledTrace, CompileCache, compile_trace
 from repro.traces.records import LogRecord, Trace
 
 
@@ -50,7 +44,7 @@ def _records(count: int = 300) -> list[LogRecord]:
 class TestChunkedCompiledTrace:
     def test_id_space_matches_compiled_trace(self):
         records = _records()
-        whole = CompiledTrace(records)
+        whole = compile_trace(records)
         chunked = ChunkedCompiledTrace.from_records(records, chunk_records=7)
         assert chunked.urls.strings == whole.urls.strings
         assert chunked.sources.strings == whole.sources.strings
@@ -94,7 +88,7 @@ class TestChunkFileRoundtrip:
         write_chunked_trace(records, path, chunk_records=31)
         trace = open_chunked_trace(path)
         # Complete before any chunk is streamed: construction alone.
-        whole = CompiledTrace(records)
+        whole = compile_trace(records)
         assert trace.urls.strings == whole.urls.strings
         assert list(trace.url_counts()) == list(whole.url_counts())
 
@@ -245,7 +239,7 @@ class TestCompileCache:
         cache = CompileCache(capacity=2)
         traces = [Trace(_records(10)) for _ in range(3)]
         for trace in traces:
-            cache.put(trace, CompiledTrace(list(trace)))
+            cache.put(trace, compile_trace(list(trace)))
         assert len(cache) == 2
         assert cache.get(traces[0]) is None  # oldest evicted
         assert cache.get(traces[2]) is not None
@@ -253,17 +247,17 @@ class TestCompileCache:
     def test_get_refreshes_recency(self):
         cache = CompileCache(capacity=2)
         traces = [Trace(_records(10)) for _ in range(3)]
-        cache.put(traces[0], CompiledTrace(list(traces[0])))
-        cache.put(traces[1], CompiledTrace(list(traces[1])))
+        cache.put(traces[0], compile_trace(list(traces[0])))
+        cache.put(traces[1], compile_trace(list(traces[1])))
         cache.get(traces[0])  # now most recent
-        cache.put(traces[2], CompiledTrace(list(traces[2])))
+        cache.put(traces[2], compile_trace(list(traces[2])))
         assert cache.get(traces[0]) is not None
         assert cache.get(traces[1]) is None
 
     def test_explicit_evict(self):
         cache = CompileCache(capacity=4)
         trace = Trace(_records(10))
-        cache.put(trace, CompiledTrace(list(trace)))
+        cache.put(trace, compile_trace(list(trace)))
         assert cache.evict(trace) == 1
         assert cache.get(trace) is None
         assert cache.evict(trace) == 0
@@ -272,7 +266,7 @@ class TestCompileCache:
         cache = CompileCache(capacity=4)
         traces = [Trace(_records(10)) for _ in range(3)]
         for trace in traces:
-            cache.put(trace, CompiledTrace(list(trace)))
+            cache.put(trace, compile_trace(list(trace)))
         assert cache.evict() == 3
         assert len(cache) == 0
 
@@ -295,7 +289,8 @@ class TestCompileCache:
 
     def test_compiled_forms_pass_through(self):
         records = _records(15)
-        compiled = CompiledTrace(records)
+        compiled = compile_trace(records)
         chunked = ChunkedCompiledTrace.from_records(records, chunk_records=4)
+        assert len(list(compiled.chunks())) == 1
         assert compile_trace(compiled) is compiled
         assert compile_trace(chunked) is chunked

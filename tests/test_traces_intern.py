@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 from repro import urls as url_utils
 from repro.core.piggyback import PiggybackElement
 from repro.traces.intern import SymbolTable, compile_trace
@@ -43,12 +45,15 @@ class TestCompiledTrace:
         trace = self._trace()
         compiled = compile_trace(trace)
         assert len(compiled) == len(trace)
+        (chunk,) = compiled.chunks()
         for index, record in enumerate(trace):
-            assert compiled.timestamps[index] == record.timestamp
-            assert compiled.urls.string(compiled.url_ids[index]) == record.url
-            assert compiled.sources.string(compiled.source_ids[index]) == record.source
-            assert compiled.sizes[index] == record.size
-            assert compiled.has_mtime(index) == (record.last_modified is not None)
+            assert chunk.timestamps[index] == record.timestamp
+            assert compiled.urls.string(chunk.url_ids[index]) == record.url
+            assert compiled.sources.string(chunk.source_ids[index]) == record.source
+            assert chunk.sizes[index] == record.size
+            assert math.isnan(chunk.mtimes[index]) == (record.last_modified is None)
+        # Lossless: statuses and methods too, so records rebuild exactly.
+        assert list(compiled.records()) == list(trace)
 
     def test_wire_bytes_match_piggyback_model(self):
         compiled = compile_trace(self._trace())

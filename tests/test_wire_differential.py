@@ -2,8 +2,9 @@
 
 The same synthetic trace is evaluated two ways:
 
-* **simulated** — :func:`repro.analysis.prediction.replay` post-processes
-  the trace against a directory volume store (the paper's methodology);
+* **simulated** — :func:`repro.analysis.prediction.replay`, the replay
+  engine, post-processes the trace against a directory volume store (the
+  paper's methodology);
 * **live** — each record is sent as a real HTTP request over loopback to
   a :class:`PiggybackHttpServer` (clock pinned to the record timestamp),
   the ``P-volume`` trailer is parsed off the chunked response, and the
@@ -76,8 +77,9 @@ def score_records(records, piggyback_urls_for):
 
     *piggyback_urls_for(record)* performs the request (however the path
     under test does it) and returns the piggybacked URLs, or None when no
-    message was attached.  Mirrors :func:`repro.analysis.prediction.replay`
-    steps 1 and 4, with the wire supplying step 3's filtered message.
+    message was attached.  Mirrors steps 1 and 4 of the per-record
+    reference replay (``replay_oracle.replay``), with the wire supplying
+    step 3's filtered message.
     """
     metrics = ReplayMetrics()
     states = {}
