@@ -270,7 +270,7 @@ def _cmd_roc(args: argparse.Namespace) -> int:
 
 def _cmd_build_volumes(args: argparse.Namespace) -> int:
     from .analysis.pairwise import VolumeBuildConfig, build_volumes_from_trace
-    from .volumes.persistence import save_volumes
+    from .volumes.state import save_volumes
 
     trace = _load_trace(args)
     config = VolumeBuildConfig(
@@ -735,6 +735,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from .server.resources import ResourceStore
     from .server.server import PiggybackServer
     from .volumes.directory import DirectoryVolumeConfig, DirectoryVolumeStore
+    from .volumes.state import StateFormatError
     from .workloads.sitegen import SiteConfig, generate_site
 
     if args.lb:
@@ -748,12 +749,16 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                                     directory_count=args.directories,
                                     max_depth=args.max_depth, seed=args.seed))
     resources = ResourceStore.from_site(site)
-    state = DurableState(
-        args.state_dir,
-        lambda: DirectoryVolumeStore(DirectoryVolumeConfig(level=args.level)),
-        resources=resources,
-        sync=args.sync,
-    )
+    try:
+        state = DurableState(
+            args.state_dir,
+            lambda: DirectoryVolumeStore(DirectoryVolumeConfig(level=args.level)),
+            resources=resources,
+            sync=args.sync,
+        )
+    except StateFormatError as exc:
+        print(f"serve: cannot recover state: {exc}", file=sys.stderr)
+        return 2
     engine = PiggybackServer(resources, state.store)
     logger = None
     if args.access_log:

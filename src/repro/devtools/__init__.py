@@ -15,9 +15,11 @@ after the fact:
 :mod:`repro.devtools.lint` enforces both statically with an AST-walking
 rule engine (``repro lint``); :mod:`repro.devtools.lockorder` enforces the
 lock-ordering half dynamically by instrumenting the stack's locks during
-stress tests (``REPRO_LOCKORDER=1``).
+stress tests (``REPRO_LOCKORDER=1``).  :mod:`repro.devtools.chaos` is the
+SIGKILL switch the crash-recovery tests drive through every durable
+writer (``REPRO_DURABILITY_KILL``).
 """
 
 from __future__ import annotations
 
-__all__ = ["lint", "lockorder"]
+__all__ = ["chaos", "lint", "lockorder"]

@@ -1,10 +1,13 @@
-"""Fault injection for the durability layer's own test harness.
+"""Fault injection for the crash-recovery test harness.
 
 The crash-recovery chaos tests need to kill the process at a *precise
 byte offset* inside a journal append or a snapshot write — not "roughly
 around then", because the whole point is proving recovery from every
-torn-write shape.  This module provides a kill switch the durability
-writers route their bytes through:
+torn-write shape.  This module provides a kill switch the durable
+writers route their bytes through: the journal
+(:mod:`repro.server.durability.journal`) and the one document writer of
+the state codec (:mod:`repro.volumes.state`), which writes snapshots,
+meta files and volume artifacts:
 
 ``REPRO_DURABILITY_KILL=journal:173``
     SIGKILL the process after exactly 173 bytes have reached the journal
@@ -16,8 +19,9 @@ writers route their bytes through:
 
 ``REPRO_DURABILITY_KILL=point:snapshot-replace``
     SIGKILL at a *named* code point (here: immediately after the
-    snapshot rename hits the directory) for boundaries that are not
-    byte-addressable.
+    snapshot rename hits the directory; ``meta-replace`` and
+    ``artifact-replace`` name the other documents' renames) for
+    boundaries that are not byte-addressable.
 
 The switch is parsed once per process from the environment; production
 processes never set the variable and pay one ``None`` check per write.

@@ -6,27 +6,27 @@ log.  This package makes that state crash-safe:
 
 - :mod:`.journal` — append-only, CRC-framed, fsynced write-ahead journal
   of observations; tail-tolerant reader.
-- :mod:`.snapshot` — atomic checksummed snapshots plus the generation /
-  epoch-base meta floor.
 - :mod:`.state` — :func:`~.state.recover_state` (idempotent crash
   recovery), :class:`~.state.JournaledVolumeStore` (journal before
-  mutate), and :class:`~.state.DurableState` (per-process manager with
-  snapshot-now / reload / status for the admin endpoints).
+  mutate), :class:`~.state.DurableState` (per-process manager with
+  snapshot-now / reload / status for the admin endpoints), journal file
+  naming and :data:`~.state.GENERATION_STRIDE`.
 - :mod:`.logflush` — buffered access logging with a background flusher.
-- :mod:`.chaos` — the SIGKILL fault-injection switch the crash-recovery
-  test harness drives via ``REPRO_DURABILITY_KILL``.
+
+The snapshot and meta documents, and the store and resource layouts
+inside them, belong to the one state codec, :mod:`repro.volumes.state`;
+its names are re-exported here.  The SIGKILL fault-injection switch the
+crash-recovery tests drive via ``REPRO_DURABILITY_KILL`` is
+:mod:`repro.devtools.chaos`.
 
 Epochs published by a recovered store are offset by a per-generation
-base (see :data:`~.snapshot.GENERATION_STRIDE`), so piggyback cache
+base (see :data:`~.state.GENERATION_STRIDE`), so piggyback cache
 keys minted before a crash can never collide with keys minted after —
 the epoch space is monotone across process generations.
 """
 
-from .chaos import KILL_ENV
-from .journal import JournalRecord, JournalTail, JournalWriter, read_journal
-from .logflush import BufferedAccessLogger, FlushScheduler
-from .snapshot import (
-    GENERATION_STRIDE,
+from ...devtools.chaos import KILL_ENV
+from ...volumes.state import (
     META_NAME,
     SNAPSHOT_NAME,
     SnapshotPayload,
@@ -36,10 +36,12 @@ from .snapshot import (
     load_snapshot,
     write_snapshot,
 )
+from .journal import JournalRecord, JournalTail, JournalWriter, read_journal
+from .logflush import BufferedAccessLogger, FlushScheduler
 from .state import (
+    GENERATION_STRIDE,
     DurableState,
     JournaledVolumeStore,
-    RecoveryError,
     RecoveryReport,
     SnapshotInfo,
     recover_state,
@@ -64,7 +66,6 @@ __all__ = [
     "write_snapshot",
     "DurableState",
     "JournaledVolumeStore",
-    "RecoveryError",
     "RecoveryReport",
     "SnapshotInfo",
     "recover_state",

@@ -49,7 +49,7 @@ from typing import Any, BinaryIO
 
 from ...telemetry import REGISTRY
 from ...traces.records import LogRecord
-from .chaos import chaos_write
+from ...devtools.chaos import chaos_write
 
 __all__ = [
     "JournalRecord",

@@ -1,8 +1,26 @@
 """Durable origin state: recovery, the journaled store, and its manager.
 
 The durable origin keeps its volume store's runtime state on disk as a
-snapshot plus an append-only journal tail (see :mod:`.snapshot` and
-:mod:`.journal`).  This module ties the pieces together:
+snapshot plus an append-only journal tail.  A state directory holds::
+
+    meta.json          generation + epoch-base floor, rewritten at startup
+    snapshot.json      one full store-state snapshot
+    journal-<G>.log    append-only journal for process generation G
+
+``snapshot.json`` and ``meta.json`` are documents of the state codec
+(:mod:`repro.volumes.state`): written atomically, checksummed whole, so
+one that fails validation indicates external damage and raises
+:class:`~repro.volumes.state.StateFormatError` instead of being guessed
+at — unlike the journal (:mod:`.journal`), whose torn tails are an
+*expected* crash artifact and are tolerated.
+
+``meta.json`` closes a narrow hole: a process that crashed before its
+first journal append (or whose journal ``begin`` record was itself torn)
+would otherwise leave no durable trace of the epoch base it was serving
+at.  Every generation writes meta before serving starts, so recovery
+always finds a floor to raise the next base above.
+
+This module ties the pieces together:
 
 :func:`recover_state`
     Pure (read-only) crash recovery: load the snapshot, replay the
@@ -32,30 +50,38 @@ from ...devtools.lockorder import make_rlock
 from ...telemetry import REGISTRY
 from ...traces.records import LogRecord
 from ...volumes.base import VolumeLookup, VolumeStore, VolumeVersion
-from ..resources import ResourceStore
-from .journal import JournalWriter, read_journal, record_to_log_record
-from .snapshot import (
-    GENERATION_STRIDE,
+from ...volumes.state import (
     SNAPSHOT_NAME,
+    StateFormatError,
     StateMeta,
-    capture_snapshot_state,
-    journal_generation,
-    journal_name,
+    capture_resources,
+    capture_store_state,
     load_meta,
     load_snapshot,
-    restore_into,
+    restore_resources,
+    restore_store_state,
     write_meta,
     write_snapshot,
 )
+from ..resources import ResourceStore
+from .journal import JournalWriter, read_journal, record_to_log_record
 
 __all__ = [
-    "RecoveryError",
+    "GENERATION_STRIDE",
+    "journal_name",
+    "journal_generation",
     "RecoveryReport",
     "SnapshotInfo",
     "recover_state",
     "JournaledVolumeStore",
     "DurableState",
 ]
+
+# Epoch bases advance by this stride per process generation.  Any single
+# generation minting 2**40 epochs (one per observe) would have journaled
+# for years; the stride guarantees post-restart epochs strictly exceed
+# every pre-crash epoch while staying far from int overflow concerns.
+GENERATION_STRIDE = 1 << 40
 
 _TEL_RECOVERY_RUNS = REGISTRY.counter(
     "server_recovery_runs_total", "Crash-recovery passes over a state directory"
@@ -75,10 +101,24 @@ _TEL_RECOVERY_TORN_BYTES = REGISTRY.counter(
 _TEL_RECOVERY_SNAPSHOTS = REGISTRY.counter(
     "server_recovery_snapshots_loaded_total", "Snapshots loaded during recovery"
 )
+_TEL_SNAPSHOT_WRITES = REGISTRY.counter(
+    "server_snapshot_writes_total", "Durable state snapshots written"
+)
+_TEL_SNAPSHOT_BYTES = REGISTRY.counter(
+    "server_snapshot_bytes_total", "Bytes written into state snapshots"
+)
 
 
-class RecoveryError(ValueError):
-    """State-directory contents cannot be recovered safely."""
+def journal_name(generation: int) -> str:
+    return f"journal-{generation:08d}.log"
+
+
+def journal_generation(name: str) -> int | None:
+    """Generation number encoded in a journal file name, or None."""
+    if not (name.startswith("journal-") and name.endswith(".log")):
+        return None
+    digits = name[len("journal-"):-len(".log")]
+    return int(digits) if digits.isdigit() else None
 
 
 @dataclass(frozen=True, slots=True)
@@ -126,7 +166,7 @@ def _apply_record(
                 last_modified=float(fields["lm"]),
             )
     else:
-        raise RecoveryError(f"unknown journal record kind {kind!r}")
+        raise StateFormatError(f"unknown journal record kind {kind!r}")
 
 
 def recover_state(
@@ -139,12 +179,21 @@ def recover_state(
     Loads the snapshot (if any) into a store built by *store_factory*,
     replays journal records past the snapshot's high-water mark in
     sequence order, and raises the store's epoch base one
-    :data:`~.snapshot.GENERATION_STRIDE` above every base any prior
-    generation recorded.  The directory is not modified, so recovery can
-    be repeated (and is: rerunning yields an identical store).
+    :data:`GENERATION_STRIDE` above every base any prior generation
+    recorded.  The directory is not modified, so recovery can be
+    repeated (and is: rerunning yields an identical store).
 
-    Torn journal tails are tolerated and reported; a corrupt snapshot or
-    meta file, or an out-of-order journal, raises :class:`RecoveryError`.
+    *resources*, when given, receives the recovered resource records:
+    the snapshot's replace its records and journaled updates are applied
+    on top.  Pass a store nobody serves from; :class:`DurableState`
+    passes a copy of its live one and swaps the result in under the
+    store lock.
+
+    Torn journal tails are tolerated and reported.  A damaged snapshot
+    or meta file (bad JSON, unknown format or version, failed checksum,
+    malformed layout) raises
+    :class:`~repro.volumes.state.StateFormatError`, whose message names
+    the file; so does a snapshot captured from another store type.
     """
     directory = Path(state_dir)
     bases = [0]
@@ -159,7 +208,12 @@ def recover_state(
     snapshot = load_snapshot(directory)
     applied = 0
     if snapshot is not None:
-        restore_into(store, resources, snapshot)
+        try:
+            restore_store_state(store, snapshot.store_state)
+            if resources is not None and snapshot.resources_state is not None:
+                restore_resources(resources, snapshot.resources_state)
+        except StateFormatError as exc:
+            raise StateFormatError(f"{directory / SNAPSHOT_NAME}: {exc}") from exc
         applied = snapshot.last_seq
         bases.append(snapshot.state_epoch_base)
         generations.append(snapshot.generation)
@@ -327,7 +381,12 @@ class DurableState:
         self._sync = sync
         self.invalidate_hooks: list[Callable[[], None]] = []
 
-        inner, report = recover_state(self.state_dir, store_factory, resources)
+        # Recovery fills a copy of the resources; nothing serves yet, so
+        # the copy is adopted straight away.
+        recovered = None if resources is None else resources.copy()
+        inner, report = recover_state(self.state_dir, store_factory, recovered)
+        if resources is not None:
+            resources.adopt(recovered)  # type: ignore[arg-type]
         self.recovery = report
         self.generation = report.generation
         # Persist the floor before the first request: if we crash right
@@ -379,8 +438,9 @@ class DurableState:
         hit disk, and recovery replays anything after the cut.
         """
         with self.store.lock:
-            store_state, resources_state = capture_snapshot_state(
-                self.store.inner, self.resources
+            store_state = capture_store_state(self.store.inner)
+            resources_state = (
+                None if self.resources is None else capture_resources(self.resources)
             )
             last_seq = self.store.journal.last_seq
             epoch_base = self.store.epoch_base
@@ -392,6 +452,8 @@ class DurableState:
             store_state=store_state,
             resources_state=resources_state,
         )
+        _TEL_SNAPSHOT_WRITES.inc()
+        _TEL_SNAPSHOT_BYTES.inc(size)
         # Earlier generations' journals are now folded in; ours keeps
         # growing and stays (replay skips records at or below last_seq).
         self._prune_journals(before_generation=self.generation)
@@ -405,18 +467,22 @@ class DurableState:
         """Rebuild the in-memory store from disk, in place.
 
         Exercises the recovery path without killing the process: a fresh
-        store is recovered from the snapshot plus the live journal, the
-        raised epoch base is persisted, and the state is swapped behind
-        the store lock.  Registered invalidate hooks (piggyback cache
-        clears) run after the swap.
+        store and a copy of the resources are recovered from the snapshot
+        plus the live journal, the raised epoch base is persisted, and
+        both are swapped in behind the store lock — a concurrent request
+        sees the old resources or the recovered ones, never a half-filled
+        table.  Registered invalidate hooks (piggyback cache clears) run
+        after the swap.
         """
-        inner, report = recover_state(
-            self.state_dir, self._store_factory, self.resources
-        )
+        with self.store.lock:
+            recovered = None if self.resources is None else self.resources.copy()
+        inner, report = recover_state(self.state_dir, self._store_factory, recovered)
         # New floor must be durable before any epoch above it is served.
         write_meta(self.state_dir, StateMeta(self.generation, report.epoch_base))
         with self.store.lock:
             self.store.swap_inner(inner)
+            if recovered is not None:
+                self.resources.adopt(recovered)  # type: ignore[union-attr]
         for hook in self.invalidate_hooks:
             hook()
         return report

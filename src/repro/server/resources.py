@@ -9,7 +9,7 @@ Last-Modified times evolve over simulated time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .. import urls
 from ..workloads.modifications import ModificationProcess
@@ -72,6 +72,17 @@ class ResourceStore:
         self._records[url] = record
         self._epoch += 1
         return record
+
+    def copy(self) -> "ResourceStore":
+        twin = ResourceStore(self._changes)
+        twin._records = {url: replace(record) for url, record in self._records.items()}
+        twin._epoch = self._epoch
+        return twin
+
+    def adopt(self, other: "ResourceStore") -> None:
+        """Serve *other*'s records: a concurrent reader sees the old table
+        or the new one, never a half-filled one."""
+        self._records, self._epoch = other._records, other._epoch
 
     def get(self, url: str) -> ResourceRecord | None:
         return self._records.get(url)

@@ -20,7 +20,7 @@ from .probability import (
 from .sitewide import CrossHostVolumeStore, SiteWideVolumeStore
 from .popularity import FallbackVolumeStore, PopularityConfig, PopularityVolumeStore
 from .online import OnlineProbabilityVolumeStore, OnlineVolumeConfig
-from .persistence import VolumeArtifact, VolumeFormatError, load_volumes, save_volumes
+from .state import StateFormatError, VolumeArtifact, load_volumes, save_volumes
 from .thinning import (
     EffectivenessResult,
     combine_with_directory,
@@ -52,7 +52,7 @@ __all__ = [
     "OnlineVolumeConfig",
     "OnlineProbabilityVolumeStore",
     "VolumeArtifact",
-    "VolumeFormatError",
+    "StateFormatError",
     "save_volumes",
     "load_volumes",
 ]

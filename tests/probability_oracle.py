@@ -27,7 +27,7 @@ from repro.volumes.probability import (
     ProbabilityVolumes,
     build_probability_volumes,
 )
-from repro.volumes.state import StateCodecError
+from repro.volumes.state import StateFormatError
 
 __all__ = [
     "OnlineProbabilityVolumeStore",
@@ -335,7 +335,7 @@ def _rng_state_restore(payload: list[Any]) -> tuple[Any, ...]:
 
     state = tuple(convert(part) for part in payload)
     if len(state) != 3:
-        raise StateCodecError("malformed RNG state")
+        raise StateFormatError("malformed RNG state")
     return state
 
 

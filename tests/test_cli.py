@@ -72,7 +72,7 @@ class TestCommands:
         assert "min-gap" in capsys.readouterr().out
 
     def test_build_volumes_writes_artifact(self, tmp_path, capsys):
-        from repro.volumes.persistence import load_volumes
+        from repro.volumes.state import load_volumes
 
         out = tmp_path / "volumes.json"
         code = main(["build-volumes", "--preset", "aiusa", "--scale", "0.05",
@@ -83,6 +83,20 @@ class TestCommands:
         assert artifact.probability_threshold == 0.3
         assert artifact.source_log == "aiusa"
         assert len(artifact.volumes) > 0
+
+    @pytest.mark.parametrize("name", ["snapshot.json", "meta.json"])
+    def test_serve_refuses_a_damaged_state_dir(self, tmp_path, capsys, name):
+        state_dir = tmp_path / "state"
+        state_dir.mkdir()
+        (state_dir / name).write_bytes(b"{ torn")
+        code = main(["serve", "--state-dir", str(state_dir), "--pages", "4",
+                     "--port", "0", "--max-seconds", "1"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1, captured.err
+        assert str(state_dir / name) in lines[0] and "not valid JSON" in lines[0]
 
     def test_simulate_runs(self, capsys):
         code = main(["simulate", "--preset", "aiusa", "--scale", "0.05",

@@ -205,6 +205,47 @@ def test_reload_swaps_state_and_invalidates_the_piggyback_cache(origin):
     assert status == 200
 
 
+def test_reload_never_hides_a_known_resource(tmp_path):
+    """A request during ``reload()`` finds every resource: recovery fills
+    a copy, and the copy is swapped in whole under the store lock."""
+    site = generate_site(
+        SiteConfig(host=HOST, page_count=1000, directory_count=6, seed=3)
+    )
+    resources = ResourceStore.from_site(site)
+    state = DurableState(tmp_path / "state", driver.make_store,
+                         resources=resources)
+    state.snapshot_now()  # the snapshot carries the resource records
+    urls = sorted(resources.urls())
+    missing = []
+    reads = 0
+    stop = threading.Event()
+
+    def reader():
+        nonlocal reads
+        while not stop.is_set():
+            for url in urls:
+                if resources.get(url) is None:
+                    missing.append(url)
+            reads += len(urls)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)  # interleave the reader with reload
+    thread = threading.Thread(target=reader, daemon=True)
+    thread.start()
+    try:
+        for _ in range(30):
+            state.reload()
+    finally:
+        stop.set()
+        thread.join(10)
+        sys.setswitchinterval(interval)
+        state.close()
+    assert not thread.is_alive()
+    assert reads > 0
+    assert missing == [], f"{len(missing)} of {reads} reads missed a resource"
+    assert resources.urls() == set(urls)
+
+
 def test_serve_cli_end_to_end(tmp_path):
     """`repro serve --state-dir` boots, serves, drains, and exits cleanly."""
     state_dir = tmp_path / "state"

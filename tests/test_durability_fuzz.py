@@ -1,22 +1,30 @@
-"""Seeded journal fuzzing: truncation, bit flips, and garbage suffixes.
+"""Seeded fuzzing of a state directory's files.
 
 These cover the damage SIGKILL cannot produce — a machine crash losing
 un-synced page-cache tails, disk bit rot inside the file — by mutating
-real journal bytes directly.  The invariant under every mutation is the
-same prefix-consistency oracle the chaos harness uses: recovery must
-never raise, and the recovered store must equal a fresh store fed some
-prefix of the original stream.
+real bytes directly.
+
+Journal mutations (truncation, bit flips, garbage suffixes) use the same
+prefix-consistency oracle the chaos harness uses: recovery must never
+raise, and the recovered store must equal a fresh store fed some prefix
+of the original stream.  ``snapshot.json`` and ``meta.json`` are written
+atomically, so damage to them is never a crash artifact: after any
+single bit flip, recovery must raise ``StateFormatError`` or return
+exactly what the undamaged directory recovers to.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import random
 
 import pytest
 
 import durability_driver as driver
-from repro.server.durability import DurableState, recover_state
+from repro.server.durability import DurableState, StateFormatError, recover_state
+from repro.server.resources import ResourceStore
+from repro.volumes.state import capture_resources, capture_store_state
 
 COUNT = 30
 _LONG = os.environ.get("REPRO_STRESS_PROFILE") == "long"
@@ -93,3 +101,99 @@ def test_fuzzing_actually_reduces_the_applied_count_sometimes(tmp_path):
         if report.last_seq < COUNT:
             losses += 1
     assert losses > CASES // 4
+
+
+# --- snapshot.json and meta.json -------------------------------------------
+
+DOCUMENTS = ("snapshot.json", "meta.json")
+
+
+def _documents_dir(tmp_path):
+    """A state directory with a snapshot, a journal tail past it, and
+    resource records in both."""
+    resources = ResourceStore()
+    resources.add(f"{driver.HOST}/d0/page0.html", size=10, last_modified=3.0)
+    state = DurableState(tmp_path, driver.make_store, resources=resources)
+    records = driver.make_records(7, COUNT)
+    driver.feed(state.store, records[:10])
+    state.journal_resource(f"{driver.HOST}/d1/page1.gif", 20, "image", 4.0)
+    state.snapshot_now()
+    driver.feed(state.store, records[10:])
+    state.close()
+    return driver.record_urls(records)
+
+
+def _recovery(state_dir, urls):
+    resources = ResourceStore()
+    store, report = recover_state(state_dir, driver.make_store, resources)
+    return (driver.trailer_map(store, urls), capture_store_state(store),
+            capture_resources(resources), report)
+
+
+def _refused_or_undamaged(state_dir, urls, undamaged, what):
+    try:
+        recovered = _recovery(state_dir, urls)
+    except StateFormatError:
+        return True
+    assert recovered == undamaged, f"{what}: damaged document changed the recovery"
+    return False
+
+
+def _flip(path, position, bit):
+    data = bytearray(path.read_bytes())
+    data[position] ^= 1 << bit
+    path.write_bytes(bytes(data))
+
+
+@pytest.mark.parametrize("seed", range(CASES))
+def test_document_bit_flip_is_refused_or_harmless(tmp_path, seed):
+    urls = _documents_dir(tmp_path)
+    undamaged = _recovery(tmp_path, urls)
+    rng = random.Random(2000 + seed)
+    path = tmp_path / rng.choice(DOCUMENTS)
+    position = rng.randrange(path.stat().st_size)
+    _flip(path, position, rng.randrange(8))
+    _refused_or_undamaged(tmp_path, urls, undamaged, f"{path.name}@{position}")
+
+
+@pytest.mark.parametrize("name", DOCUMENTS)
+def test_every_header_bit_flip_is_refused_or_harmless(tmp_path, name):
+    """Every bit of every byte before the state payload: format, version,
+    generation, epoch base, journal position and the checksum itself."""
+    urls = _documents_dir(tmp_path)
+    undamaged = _recovery(tmp_path, urls)
+    path = tmp_path / name
+    original = path.read_bytes()
+    end = original.find(b'"store"') if name == "snapshot.json" else len(original)
+    assert end > 0
+    refused = 0
+    for position in range(end):
+        for bit in range(8):
+            _flip(path, position, bit)
+            refused += _refused_or_undamaged(tmp_path, urls, undamaged,
+                                             f"{name}@{position}^{bit}")
+            path.write_bytes(original)
+    assert refused > 7 * end  # nearly every flip is caught, not shrugged off
+
+
+def test_rewritten_last_seq_is_refused(tmp_path):
+    """Moving a snapshot's journal position would skip acknowledged
+    records as duplicates; the whole-document checksum refuses it."""
+    _documents_dir(tmp_path)
+    path = tmp_path / "snapshot.json"
+    document = json.loads(path.read_text())
+    assert document["last_seq"] == 11
+    document["last_seq"] = 21
+    path.write_text(json.dumps(document, indent=1))
+    with pytest.raises(StateFormatError, match="checksum"):
+        recover_state(tmp_path, driver.make_store)
+
+
+def test_rewritten_meta_is_refused(tmp_path):
+    _documents_dir(tmp_path)
+    path = tmp_path / "meta.json"
+    document = json.loads(path.read_text())
+    document["epoch_base"] = 0
+    path.write_text(json.dumps(document, indent=1))
+    with pytest.raises(StateFormatError, match="checksum"):
+        recover_state(tmp_path, driver.make_store)

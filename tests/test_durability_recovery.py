@@ -15,7 +15,7 @@ from repro.server.durability import (
     StateFormatError,
     recover_state,
 )
-from repro.server.durability.snapshot import GENERATION_STRIDE, journal_name
+from repro.server.durability.state import GENERATION_STRIDE, journal_name
 from repro.volumes.online import OnlineProbabilityVolumeStore, OnlineVolumeConfig
 from repro.volumes.state import capture_store_state
 

@@ -16,15 +16,14 @@ from repro.server.durability import (
     load_snapshot,
     write_snapshot,
 )
-from repro.server.durability.snapshot import (
+from repro.server.durability.state import journal_generation, journal_name
+from repro.server.resources import ResourceStore
+from repro.volumes.state import (
     capture_resources,
-    journal_generation,
-    journal_name,
+    capture_store_state,
     restore_resources,
     write_meta,
 )
-from repro.server.resources import ResourceStore
-from repro.volumes.state import capture_store_state
 
 
 def _store_state():

@@ -16,7 +16,7 @@ from repro.traces.clean import CleaningConfig, clean_trace
 from repro.traces.common_log import read_log, write_log
 from repro.traces.pseudo_proxy import extract_pseudo_proxies
 from repro.volumes.directory import DirectoryVolumeConfig, DirectoryVolumeStore
-from repro.volumes.persistence import load_volumes, save_volumes
+from repro.volumes.state import load_volumes, save_volumes
 from repro.volumes.probability import (
     PairwiseConfig,
     PairwiseEstimator,

@@ -4,8 +4,8 @@ import json
 
 import pytest
 
-from repro.volumes.persistence import (
-    VolumeFormatError,
+from repro.volumes.state import (
+    StateFormatError,
     load_volumes,
     save_volumes,
 )
@@ -61,13 +61,13 @@ class TestErrorHandling:
     def test_not_json(self, tmp_path):
         path = tmp_path / "bad"
         path.write_text("this is not json")
-        with pytest.raises(VolumeFormatError):
+        with pytest.raises(StateFormatError):
             load_volumes(path)
 
     def test_wrong_format_marker(self, tmp_path):
         path = tmp_path / "other.json"
         path.write_text(json.dumps({"format": "something-else", "version": 1}))
-        with pytest.raises(VolumeFormatError):
+        with pytest.raises(StateFormatError):
             load_volumes(path)
 
     def test_unsupported_version(self, tmp_path):
@@ -75,7 +75,7 @@ class TestErrorHandling:
         payload = {"format": "repro-probability-volumes", "version": 99,
                    "parameters": {}, "volumes": {}}
         path.write_text(json.dumps(payload))
-        with pytest.raises(VolumeFormatError):
+        with pytest.raises(StateFormatError):
             load_volumes(path)
 
     def test_missing_parameters(self, tmp_path):
@@ -83,7 +83,34 @@ class TestErrorHandling:
         payload = {"format": "repro-probability-volumes", "version": 1,
                    "parameters": {}, "volumes": {}}
         path.write_text(json.dumps(payload))
-        with pytest.raises(VolumeFormatError):
+        with pytest.raises(StateFormatError):
+            load_volumes(path)
+
+    def test_not_utf8(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"format": "repro-probability-volumes", "x": "\xe9"}')
+        with pytest.raises(StateFormatError, match="JSON"):
+            load_volumes(path)
+
+    @pytest.mark.parametrize("volumes", [[], "h/a", 3, None])
+    def test_v1_volumes_not_a_mapping(self, tmp_path, volumes):
+        path = tmp_path / "v1.json"
+        payload = {"format": "repro-probability-volumes", "version": 1,
+                   "parameters": {"probability_threshold": 0.2, "window": 300.0,
+                                  "effectiveness_threshold": None,
+                                  "combine_level": None},
+                   "volumes": volumes}
+        path.write_text(json.dumps(payload))
+        with pytest.raises(StateFormatError):
+            load_volumes(path)
+
+    def test_checksum_covers_parameters(self, tmp_path):
+        path = tmp_path / "v.json"
+        save_volumes(sample_volumes(), path, probability_threshold=0.2)
+        payload = json.loads(path.read_text())
+        payload["parameters"]["probability_threshold"] = 0.9
+        path.write_text(json.dumps(payload))
+        with pytest.raises(StateFormatError, match="checksum"):
             load_volumes(path)
 
     def test_missing_file(self, tmp_path):
