@@ -133,7 +133,7 @@ class _Slot:
     """One configuration's unpacked parameters and mutable replay state."""
 
     __slots__ = (
-        "config", "store", "metrics", "states", "rpvs", "rng",
+        "config", "store", "metrics", "states", "state", "rpvs", "paced", "rng",
         "window", "history", "recent", "measure_after", "enable_probability",
         "max_elements", "access_filter", "precounts", "probability_threshold",
         "max_resource_size", "excluded_type_ids", "element_filter",
@@ -145,7 +145,10 @@ class _Slot:
         self.store = store
         self.metrics = ReplayMetrics()
         self.states: dict[int, _FastSourceState] = {}
+        # The state of the source whose record is being scored.
+        self.state = _FastSourceState()
         self.rpvs: dict[int, RpvList] = {}
+        self.paced = config.rpv_min_gap is not None and config.rpv_min_gap > 0
         self.rng = (
             random.Random(config.seed) if config.enable_probability < 1.0 else None
         )
@@ -186,13 +189,6 @@ class _Slot:
         )
         self.size_sensitive = self.max_resource_size is not None
         self.message_cache: dict[int, tuple[tuple[int, ...], int, int]] = {}
-
-    def state_for(self, source_id: int) -> _FastSourceState:
-        state = self.states.get(source_id)
-        if state is None:
-            state = _FastSourceState()
-            self.states[source_id] = state
-        return state
 
 
 def replay_interned_multi(
@@ -281,7 +277,10 @@ def _replay_batch(
 
         # -- 1. score this request against past piggybacks ----------------
         for slot in slots:
-            state = slot.state_for(source)
+            state = slot.states.get(source)
+            if state is None:
+                state = slot.states[source] = _FastSourceState()
+            slot.state = state
             metrics = slot.metrics
             measured = now >= slot.measure_after
             carried = state.carried
@@ -328,7 +327,7 @@ def _replay_batch(
             if result is None:
                 continue
             volume_id, candidates = result
-            rpv = _rpv_for(slot, source, now)
+            rpv = _rpv_for(slot, source) if slot.paced else None
             if rpv is not None and volume_id in rpv.active_ids(now):
                 continue
             if limit == 0:
@@ -424,7 +423,7 @@ def _replay_batch(
                 metrics.piggyback_messages += 1
                 metrics.piggyback_elements += len(element_ids)
                 metrics.piggyback_bytes += wire_total
-            state = slot.state_for(source)
+            state = slot.state
             carried = state.carried
             pending = state.pending
             window = slot.window
@@ -488,11 +487,9 @@ def _prune_slots(slots: list[_Slot], now: float) -> None:
                     del pending[url]
 
 
-def _rpv_for(slot: _Slot, source: int, now: float) -> RpvList | None:
-    """The source's RPV list under this configuration, if pacing is on."""
+def _rpv_for(slot: _Slot, source: int) -> RpvList:
+    """The source's RPV list under this configuration, whose pacing is on."""
     config = slot.config
-    if config.rpv_min_gap is None or config.rpv_min_gap <= 0:
-        return None
     rpv = slot.rpvs.get(source)
     if rpv is None:
         rpv = RpvList(timeout=config.rpv_min_gap, max_entries=config.rpv_max_entries)

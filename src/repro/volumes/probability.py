@@ -18,16 +18,27 @@ symbol tables and per-URL columns).  String entry points intern at the
 edge, for the origin and the durable state; ``run``, ``observe_id`` and
 ``lookup_id`` take a compiled trace's own ids, for offline estimation
 and the fast replay engine.
+
+The offline pipeline stays on those ids from end to end.  The estimator
+tests a window entry's directory prefix before anything else, so with
+the same-directory restriction an entry from another directory costs
+one comparison.  :func:`build_probability_volumes` groups the packed
+counters by antecedent id into an id-keyed :class:`ProbabilityVolumes`
+that builds its URL-string view only when something asks for strings;
+a :class:`ProbabilityVolumeStore` on the estimator's id space adopts the
+id-keyed members instead of translating them.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from collections import Counter, deque
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 from ..core.filters import CandidateElement
+from ..devtools.lockorder import make_lock
 from ..traces.intern import ChunkedCompiledTrace, compile_trace, growing_id_space
 from ..traces.records import LogRecord, Trace
 from .base import VolumeIdAllocator, VolumeLookup, VolumeStore, VolumeVersion
@@ -42,6 +53,9 @@ __all__ = [
     "build_probability_volumes",
     "build_probability_volumes_multi",
 ]
+
+#: The credited set of a window entry that has credited no follower yet.
+_UNCREDITED: frozenset[int] = frozenset()
 
 
 @dataclass(frozen=True, slots=True)
@@ -147,6 +161,11 @@ class PairwiseEstimator:
             return 0
         return self._occurrences[url_id]
 
+    def _window_entry(self, timestamp: float, url_id: int, credited: set[int]) -> list:
+        """A window entry as :meth:`_observe_batch` keeps it (for a restore)."""
+        prefix = self._prefix_ids[url_id] if self._prefix_ids is not None else 0
+        return [timestamp, url_id, credited or _UNCREDITED, prefix]
+
     def observe(self, record: LogRecord) -> None:
         """Account one request; must be called in non-decreasing time order."""
         space = self._id_space
@@ -205,7 +224,15 @@ class PairwiseEstimator:
             del windows[source]
 
     def _observe_batch(self, timestamps, source_ids, url_ids, lo: int, hi: int) -> None:
-        """Account records ``[lo, hi)`` of the given parallel columns."""
+        """Account records ``[lo, hi)`` of the given parallel columns.
+
+        A window entry is ``[timestamp, url id, credited, prefix id]``.
+        The prefix id (0 for every URL without ``same_directory_level``)
+        is tested first, so an entry from another directory costs one
+        comparison; ``credited`` stays the shared empty set until the
+        occurrence first credits a follower.  No RNG draw precedes those
+        tests, so the order of checks changes no estimate.
+        """
         url_strings = self._id_space.urls.strings
         windows = self._windows
         occurrences = self._occurrences
@@ -214,9 +241,13 @@ class PairwiseEstimator:
         config = self.config
         horizon = config.window
         sampling = config.sample_counters
+        constant = config.sampling_constant
+        threshold = config.sampling_threshold
         admitted = config.pair_admitted
         shift = self._KEY_SHIFT
         rng_random = self._rng.random
+        uncredited = _UNCREDITED
+        url_prefix = 0
         for index in range(lo, hi):
             url = url_ids[index]
             timestamp = timestamps[index]
@@ -227,38 +258,39 @@ class PairwiseEstimator:
             cutoff = timestamp - horizon
             while window and window[0][0] < cutoff:
                 window.popleft()
+            if prefix_ids is not None:
+                url_prefix = prefix_ids[url]
             for occurrence in window:
+                if occurrence[3] != url_prefix:
+                    continue
                 antecedent = occurrence[1]
                 if antecedent == url:
                     continue
                 credited = occurrence[2]
                 if url in credited:
                     continue
-                if prefix_ids is not None and prefix_ids[antecedent] != prefix_ids[url]:
-                    continue
                 if admitted is not None and not admitted(
                     url_strings[antecedent], url_strings[url]
                 ):
                     continue
-                credited.add(url)
+                if credited:
+                    credited.add(url)
+                else:
+                    occurrence[2] = {url}
                 key = (antecedent << shift) | url
                 count = pair_counts.get(key)
                 if count is not None:
                     pair_counts[key] = count + 1
                     continue
                 if sampling:
-                    frequency = max(occurrences[antecedent], 1)
-                    probability = min(
-                        1.0,
-                        config.sampling_constant
-                        / (frequency * config.sampling_threshold),
-                    )
-                    if rng_random() >= probability:
+                    # min(1, c / (max(freq, 1) * p_t)), spelt without calls
+                    probability = constant / ((occurrences[antecedent] or 1) * threshold)
+                    if rng_random() >= (probability if probability < 1.0 else 1.0):
                         self._skipped_pairs += 1
                         continue
                 pair_counts[key] = 1
             occurrences[url] += 1
-            window.append([timestamp, url, set()])
+            window.append([timestamp, url, uncredited, url_prefix])
 
     def probability(self, antecedent: str, consequent: str) -> float:
         ids = self._id_space.urls
@@ -315,38 +347,86 @@ class ProbabilityVolumes:
 
     This is the *constructed* artifact: built once from an estimator (the
     paper applies a single set of volumes per log) and then queried by the
-    server on every request.
+    server on every request.  Each volume is sorted by descending
+    probability, ties by consequent URL.
+
+    Built from a mapping of URL strings it holds those strings.  Built by
+    :func:`build_probability_volumes` it holds the estimator's URL ids
+    (:meth:`members_on`), and its string view is built on first string
+    access, once: concurrent first readers wait for the one view.
     """
 
     def __init__(self, members: dict[str, list[tuple[str, float]]]):
-        self._members = {
+        self._members: dict[str, list[tuple[str, float]]] | None = {
             url: sorted(pairs, key=lambda p: (-p[1], p[0]))
             for url, pairs in members.items()
             if pairs
         }
+        self._ids: dict[int, list[tuple[int, float]]] | None = None
+        self._id_space: ChunkedCompiledTrace | None = None
+        self._strings_lock = make_lock("ProbabilityVolumes._strings_lock")
+
+    @classmethod
+    def _on_ids(
+        cls, members: dict[int, list[tuple[int, float]]], id_space: ChunkedCompiledTrace
+    ) -> "ProbabilityVolumes":
+        """Volumes keyed by *id_space*'s URL ids: no volume empty, each one
+        sorted as the artifact sorts it, antecedents in URL string order."""
+        volumes = cls({})
+        volumes._members = None
+        volumes._ids = members
+        volumes._id_space = id_space
+        return volumes
+
+    def members_on(
+        self, id_space: ChunkedCompiledTrace
+    ) -> dict[int, list[tuple[int, float]]] | None:
+        """The members keyed by URL id when built on *id_space* (by
+        identity), else None.  Do not mutate."""
+        return self._ids if id_space is self._id_space else None
+
+    def _strings(self) -> dict[str, list[tuple[str, float]]]:
+        """The members keyed by URL string, built once from the ids."""
+        members = self._members
+        if members is None:
+            with self._strings_lock:
+                members = self._members
+                if members is None:
+                    assert self._id_space is not None and self._ids is not None
+                    urls = self._id_space.urls.strings
+                    members = {
+                        urls[antecedent]: [(urls[consequent], p) for consequent, p in pairs]
+                        for antecedent, pairs in self._ids.items()
+                    }
+                    self._members = members
+        return members
+
+    def _keyed(self) -> dict:
+        """The members under whichever keying the artifact holds."""
+        return self._ids if self._ids is not None else self._strings()
 
     def __len__(self) -> int:
-        return len(self._members)
+        return len(self._keyed())
 
     def __contains__(self, url: str) -> bool:
-        return url in self._members
+        return url in self._strings()
 
     def members_of(self, url: str) -> list[tuple[str, float]]:
         """The volume of *url*: consequents with probabilities, sorted."""
-        return list(self._members.get(url, ()))
+        return list(self._strings().get(url, ()))
 
     def antecedents(self) -> set[str]:
-        return set(self._members)
+        return set(self._strings())
 
     def implication_count(self) -> int:
-        return sum(len(pairs) for pairs in self._members.values())
+        return sum(len(pairs) for pairs in self._keyed().values())
 
     def filtered(self, keep) -> "ProbabilityVolumes":
         """New volumes keeping only pairs where ``keep(r, s, p)`` is true."""
         return ProbabilityVolumes(
             {
                 url: [(s, p) for s, p in pairs if keep(url, s, p)]
-                for url, pairs in self._members.items()
+                for url, pairs in self._strings().items()
             }
         )
 
@@ -354,19 +434,20 @@ class ProbabilityVolumes:
 
     def self_membership_fraction(self) -> float:
         """Fraction of antecedents whose volume contains themselves."""
-        if not self._members:
+        members = self._strings()
+        if not members:
             return 0.0
         selfish = sum(
             1
-            for url, pairs in self._members.items()
+            for url, pairs in members.items()
             if any(s == url for s, _ in pairs)
         )
-        return selfish / len(self._members)
+        return selfish / len(members)
 
     def symmetric_fraction(self) -> float:
         """Fraction of implications whose reverse implication also exists."""
         pair_set = {
-            (url, s) for url, pairs in self._members.items() for s, _ in pairs
+            (url, s) for url, pairs in self._strings().items() for s, _ in pairs
         }
         if not pair_set:
             return 0.0
@@ -376,27 +457,63 @@ class ProbabilityVolumes:
     def membership_counts(self) -> dict[str, int]:
         """How many distinct volumes each resource appears in."""
         counts: Counter[str] = Counter()
-        for pairs in self._members.values():
+        for pairs in self._strings().values():
             counts.update(consequent for consequent, _ in pairs)
         return counts
 
     def containing_volumes(self) -> dict[str, tuple[str, ...]]:
         """Reverse index: resource -> antecedents whose volume contains it."""
         containing: dict[str, list[str]] = {}
-        for url, pairs in self._members.items():
+        for url, pairs in self._strings().items():
             for consequent, _ in pairs:
                 containing.setdefault(consequent, []).append(url)
         return {url: tuple(owners) for url, owners in containing.items()}
 
 
+def _id_volumes(
+    estimator: PairwiseEstimator, threshold: float
+) -> dict[int, list[tuple[int, float]]]:
+    """The estimator's implications at *threshold*, grouped by antecedent id.
+
+    Each volume is sorted by ``(-p, consequent URL)`` and the antecedents
+    are in URL order: the order the string-keyed artifact has, so ties
+    break by URL string, never by id.
+    """
+    if not 0.0 <= threshold <= 1.0:
+        raise ValueError("threshold must be in [0, 1]")
+    shift = estimator._KEY_SHIFT
+    mask = (1 << shift) - 1
+    occurrences = estimator._occurrences
+    grouped: dict[int, list[tuple[int, float]]] = {}
+    for key, count in estimator._pair_counts.items():
+        antecedent = key >> shift
+        occurred = occurrences[antecedent]
+        if occurred == 0:
+            continue
+        probability = count / occurred
+        if probability >= threshold:
+            pairs = grouped.get(antecedent)
+            if pairs is None:
+                grouped[antecedent] = [(key & mask, probability)]
+            else:
+                pairs.append((key & mask, probability))
+    urls = estimator.id_space.urls.strings
+    for pairs in grouped.values():
+        pairs.sort(key=lambda pair: (-pair[1], urls[pair[0]]))
+    return {
+        antecedent: grouped[antecedent] for antecedent in sorted(grouped, key=urls.__getitem__)
+    }
+
+
 def build_probability_volumes(
     estimator: PairwiseEstimator, threshold: float
 ) -> ProbabilityVolumes:
-    """Materialize volumes from an estimator at probability threshold."""
-    members: dict[str, list[tuple[str, float]]] = {}
-    for imp in estimator.implications(threshold):
-        members.setdefault(imp.antecedent, []).append((imp.consequent, imp.probability))
-    return ProbabilityVolumes(members)
+    """Materialize volumes from an estimator at probability threshold.
+
+    The volumes are keyed by the estimator's URL ids, so a store on the
+    estimator's id space serves them without translating.
+    """
+    return ProbabilityVolumes._on_ids(_id_volumes(estimator, threshold), estimator.id_space)
 
 
 def build_probability_volumes_multi(
@@ -405,25 +522,23 @@ def build_probability_volumes_multi(
 ) -> dict[float, ProbabilityVolumes]:
     """Materialize volumes at *all* thresholds from one counter enumeration.
 
-    The single-threshold builder re-walks every pair counter per sweep
-    point; here the counters are enumerated once at the lowest requested
-    threshold and each volume set is a filter of that list, which makes an
-    n-threshold sweep cost one enumeration instead of n.  Results are
-    identical to calling :func:`build_probability_volumes` per threshold.
+    The counters are grouped once, at the lowest requested threshold;
+    since each volume is sorted by descending probability, the volume at
+    a higher threshold is a prefix of it.  Results are identical to
+    calling :func:`build_probability_volumes` per threshold.
     """
     wanted = sorted(set(thresholds))
     if not wanted:
         return {}
-    implications = estimator.implications(wanted[0])
+    lowest = _id_volumes(estimator, wanted[0])
     built: dict[float, ProbabilityVolumes] = {}
     for threshold in wanted:
-        members: dict[str, list[tuple[str, float]]] = {}
-        for implication in implications:
-            if implication.probability >= threshold:
-                members.setdefault(implication.antecedent, []).append(
-                    (implication.consequent, implication.probability)
-                )
-        built[threshold] = ProbabilityVolumes(members)
+        members: dict[int, list[tuple[int, float]]] = {}
+        for antecedent, pairs in lowest.items():
+            kept = bisect_right(pairs, -threshold, key=lambda pair: -pair[1])
+            if kept:
+                members[antecedent] = pairs[:kept]
+        built[threshold] = ProbabilityVolumes._on_ids(members, estimator.id_space)
     return built
 
 
@@ -460,12 +575,17 @@ class ProbabilityVolumeStore(VolumeStore):
         self._translate()
 
     def _translate(self) -> None:
-        """Key :attr:`volumes` by id, dropping what the old keying derived."""
-        ensure = self._id_space.ensure_url
-        members: dict[int, list[tuple[int, float]]] = {}
-        for url in sorted(self.volumes.antecedents()):
-            pairs = [(ensure(consequent), p) for consequent, p in self.volumes.members_of(url)]
-            members[ensure(url)] = pairs
+        """Key :attr:`volumes` by id, dropping what the old keying derived.
+
+        Volumes built on this store's id space are adopted as they are.
+        """
+        members = self.volumes.members_on(self._id_space)
+        if members is None:
+            ensure = self._id_space.ensure_url
+            members = {}
+            for url in sorted(self.volumes.antecedents()):
+                pairs = [(ensure(consequent), p) for consequent, p in self.volumes.members_of(url)]
+                members[ensure(url)] = pairs
         self.members = members
         self._grow()
         # Per-antecedent cached candidate tuples.  A candidate embeds the

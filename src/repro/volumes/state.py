@@ -273,7 +273,7 @@ def capture_estimator_state(estimator: PairwiseEstimator) -> dict[str, Any]:
         "windows": {
             sources[source]: [
                 [timestamp, urls[url], sorted(urls[other] for other in credited)]
-                for timestamp, url, credited in window
+                for timestamp, url, credited, _prefix in window
             ]
             for source, window in estimator._windows.items()
         },
@@ -295,9 +295,10 @@ def restore_estimator_state(
     """Load captured state into a freshly configured estimator."""
     intern_url = estimator.id_space.ensure_url
     intern_source = estimator.id_space.sources.intern
+    entry = estimator._window_entry
     estimator._windows = {
         intern_source(str(source)): deque(
-            [float(timestamp), intern_url(str(url)), {intern_url(str(o)) for o in credited}]
+            entry(float(timestamp), intern_url(str(url)), {intern_url(str(o)) for o in credited})
             for timestamp, url, credited in entries
         )
         for source, entries in payload["windows"].items()

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import bisect
 import random
+import zlib
 from dataclasses import dataclass
 
 __all__ = ["ModificationConfig", "ModificationProcess"]
@@ -57,7 +58,8 @@ class ModificationProcess:
         schedule = self._schedules.get(url)
         if schedule is not None:
             return schedule
-        rng = random.Random((hash(url) & 0xFFFFFFFF) ^ self.config.seed)
+        # crc32, not hash(): str hashes change with PYTHONHASHSEED.
+        rng = random.Random(zlib.crc32(url.encode()) ^ self.config.seed)
         if rng.random() < self.config.fast_fraction:
             mean = self.config.fast_mean_interval
         else:

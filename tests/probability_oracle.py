@@ -3,7 +3,8 @@
 ``src/`` keeps one pairwise estimator and one probability store, on
 integer URL ids.  This module is the string-keyed implementation they
 replaced, copied unchanged (the estimator, the static and online stores,
-and their state codecs), so the differential suites compare the id-space
+their state codecs, and the string builders that materialized volumes
+from ``implications()``), so the differential suites compare the id-space
 code against an independent implementation instead of against itself.
 Do not import it from ``src/`` and do not "fix" it: its behaviour is the
 specification.
@@ -21,18 +22,15 @@ from repro.core.filters import CandidateElement
 from repro.traces.records import LogRecord
 from repro.volumes.base import VolumeIdAllocator, VolumeLookup, VolumeStore, VolumeVersion
 from repro.volumes.online import OnlineVolumeConfig
-from repro.volumes.probability import (
-    Implication,
-    PairwiseConfig,
-    ProbabilityVolumes,
-    build_probability_volumes,
-)
+from repro.volumes.probability import Implication, PairwiseConfig, ProbabilityVolumes
 from repro.volumes.state import StateFormatError
 
 __all__ = [
     "OnlineProbabilityVolumeStore",
     "PairwiseEstimator",
     "ProbabilityVolumeStore",
+    "build_probability_volumes",
+    "build_probability_volumes_multi",
     "capture_estimator_state",
     "capture_store",
     "restore_estimator_state",
@@ -157,6 +155,34 @@ class PairwiseEstimator:
                 results.append(Implication(antecedent, consequent, probability))
         results.sort(key=lambda imp: (imp.antecedent, -imp.probability, imp.consequent))
         return results
+
+
+def build_probability_volumes(estimator, threshold: float) -> ProbabilityVolumes:
+    """Materialize volumes from an estimator at probability threshold."""
+    members: dict[str, list[tuple[str, float]]] = {}
+    for imp in estimator.implications(threshold):
+        members.setdefault(imp.antecedent, []).append((imp.consequent, imp.probability))
+    return ProbabilityVolumes(members)
+
+
+def build_probability_volumes_multi(
+    estimator, thresholds: Iterable[float]
+) -> dict[float, ProbabilityVolumes]:
+    """Materialize volumes at *all* thresholds from one counter enumeration."""
+    wanted = sorted(set(thresholds))
+    if not wanted:
+        return {}
+    implications = estimator.implications(wanted[0])
+    built: dict[float, ProbabilityVolumes] = {}
+    for threshold in wanted:
+        members: dict[str, list[tuple[str, float]]] = {}
+        for implication in implications:
+            if implication.probability >= threshold:
+                members.setdefault(implication.antecedent, []).append(
+                    (implication.consequent, implication.probability)
+                )
+        built[threshold] = ProbabilityVolumes(members)
+    return built
 
 
 class ProbabilityVolumeStore(VolumeStore):

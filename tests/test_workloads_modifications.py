@@ -1,5 +1,11 @@
 """Unit tests for the resource modification process."""
 
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.workloads.modifications import ModificationConfig, ModificationProcess
@@ -68,3 +74,25 @@ class TestModificationProcess:
             ModificationConfig(fast_fraction=1.5)
         with pytest.raises(ValueError):
             ModificationConfig(fast_mean_interval=0.0)
+
+
+_PRESET_MTIMES = (
+    "from repro.workloads.synth import server_log_preset\n"
+    "trace, _ = server_log_preset('aiusa', scale=0.02)\n"
+    "print(repr([record.last_modified for record in trace]))\n"
+)
+
+
+def test_preset_last_modified_does_not_depend_on_the_hash_seed():
+    # Per-URL schedules used to be seeded from hash(url), which Python
+    # salts per process: the same preset and seed gave other mtimes.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = []
+    for hash_seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+               "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        result = subprocess.run([sys.executable, "-c", _PRESET_MTIMES], env=env,
+                                capture_output=True, text=True, timeout=120, check=True)
+        outputs.append(result.stdout)
+    assert outputs[0] == outputs[1]
+    assert len(set(ast.literal_eval(outputs[0]))) > 1
