@@ -8,8 +8,6 @@ serialized), and the proxy's upstream pool should keep p95 latency from
 exploding as parallel misses fetch in parallel.
 """
 
-from _bench_util import print_series
-
 from repro.httpwire.loadgen import LoadConfig, run_load
 from repro.httpwire.netproxy import PiggybackHttpProxy, UpstreamPolicy
 from repro.httpwire.netserver import PiggybackHttpServer
@@ -22,6 +20,14 @@ from repro.workloads.sitegen import SiteConfig, generate_site
 HOST = "www.bench.example"
 CLIENT_COUNTS = (1, 4, 16, 32)
 REQUESTS_PER_CLIENT = 40
+
+
+def print_series(title: str, header: str, rows) -> None:
+    print()
+    print(f"=== {title} ===")
+    print(header)
+    for row in rows:
+        print(row)
 
 
 def _build_engine():

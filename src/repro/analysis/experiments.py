@@ -1,9 +1,11 @@
 """One entry point per paper figure and table.
 
 Every function takes a trace (plus knobs mirroring the paper's axes) and
-returns plain result rows, so benchmarks, examples, and the CLI all share
-the same code path.  The per-experiment index in DESIGN.md maps each
-function to its figure/table; EXPERIMENTS.md records paper-vs-measured.
+returns plain result rows.  ``benchmarks/paper.py`` runs them at preset
+scale and records the rows in PAPER_RESULTS.json; the CLI's figure and
+table commands call the same functions.  The per-experiment index in
+DESIGN.md maps each function to its figure/table; EXPERIMENTS.md records
+paper-vs-measured.
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ __all__ = [
     "fig2_fig3_directory",
     "fig4_rpv",
     "prob_variants",
-    "fig5a_fraction_vs_threshold",
     "fig5b_implication_cdf",
     "fig6_fig7_fig8_probability",
     "table1_update_fraction",
@@ -227,16 +228,20 @@ def prob_variants(
     ``base`` short-circuits the build when the caller already materialized
     the threshold's volumes (e.g. via
     :func:`~repro.volumes.probability.build_probability_volumes_multi`).
+    Effectiveness is measured once per base and shared by every
+    ``effective-*`` variant.
     """
     if base is None:
         base = build_probability_volumes(estimator, threshold)
     out: dict[str, ProbabilityVolumes] = {}
+    effectiveness = None
     for variant in variants:
         if variant == "base":
             out[variant] = base
         elif variant.startswith("effective-"):
             eff_threshold = float(variant.split("-", 1)[1])
-            effectiveness = measure_effectiveness(trace, base, window=window)
+            if effectiveness is None:
+                effectiveness = measure_effectiveness(trace, base, window=window)
             out[variant] = thin_by_effectiveness(base, effectiveness, eff_threshold)
         elif variant == "combined":
             out[variant] = combine_with_directory(base, level=1)
@@ -286,13 +291,6 @@ def fig6_fig7_fig8_probability(
         )
         for (variant, threshold, volumes), metrics in zip(cells, results)
     ]
-
-
-def fig5a_fraction_vs_threshold(
-    trace: Trace, thresholds=DEFAULT_THRESHOLDS, window: float = 300.0
-) -> list[ProbabilityPoint]:
-    """Figure 5(a): fraction predicted vs probability threshold."""
-    return fig6_fig7_fig8_probability(trace, thresholds=thresholds, window=window)
 
 
 def fig5b_implication_cdf(trace: Trace, window: float = 300.0) -> list[float]:
