@@ -118,7 +118,7 @@ def _cluster_config(shards: int, snapshot_ttl: float, args) -> ClusterConfig:
     return ClusterConfig(
         shards=shards, replicas=1, host=HOST, address=ADDRESS,
         pages=args.pages, directories=args.directories, max_depth=1,
-        seed=args.seed, backend="threaded", sync_journal=args.sync,
+        seed=args.seed, sync_journal=args.sync,
         # 256 vnodes: with only tens of partition keys (one per top-level
         # directory) the default 64-vnode ring is visibly lumpy at 4 shards.
         policy=LbPolicy(snapshot_ttl=snapshot_ttl, vnodes=256),

@@ -1,7 +1,6 @@
 """Trace-driven evaluation: replay engine, metrics, per-figure experiments."""
 
 from .metrics import ReplayMetrics
-from .windows import SourceState, TimestampMap
 from .prediction import ReplayConfig, replay
 from .pairwise import VolumeBuildConfig, build_volumes_from_trace, implication_probabilities
 from .interarrival import PrefixLocality, cumulative_distribution, directory_locality
@@ -16,8 +15,6 @@ from . import experiments
 
 __all__ = [
     "ReplayMetrics",
-    "TimestampMap",
-    "SourceState",
     "ReplayConfig",
     "replay",
     "VolumeBuildConfig",

@@ -373,6 +373,21 @@ def _bind_error(kind: str, exc: OSError, address: str, port: int) -> int:
     return 2
 
 
+def _reject_flags(command: str, context: str, flags: dict[str, bool]) -> bool:
+    """Name the first given flag that *context* would ignore; True if any."""
+    for flag, given in flags.items():
+        if given:
+            print(f"{command}: {flag} does not apply {context}", file=sys.stderr)
+            return True
+    return False
+
+
+def _origin_scale(args: argparse.Namespace) -> dict:
+    """The origin's worker cap: a threaded-frontend knob; the event loop
+    takes its own (much higher) connection cap instead."""
+    return {"max_workers": args.max_workers} if args.backend == "threaded" else {}
+
+
 def _dump_telemetry(path: str) -> None:
     from .telemetry import REGISTRY, render_json, render_prometheus
 
@@ -416,8 +431,7 @@ def _print_cluster_report(status: dict) -> float:
 
 def _cmd_loadtest_cluster(args: argparse.Namespace) -> int:
     """Drive an in-process sharded cluster through its LB front tier."""
-    from .httpwire.backends import load_runner
-    from .httpwire.loadgen import LoadConfig
+    from .httpwire.loadgen import LoadConfig, run_load
     from .httpwire.netserver import synthetic_body
     from .lb.balancer import LbPolicy
     from .lb.cluster import ClusterConfig, LocalCluster
@@ -432,12 +446,10 @@ def _cmd_loadtest_cluster(args: argparse.Namespace) -> int:
         replicas=args.replicas,
         pages=args.pages,
         seed=args.seed,
-        backend=args.backend,
         max_workers=args.max_workers,
         idle_timeout=args.idle_timeout,
         policy=LbPolicy(snapshot_ttl=args.snapshot_ttl),
     )
-    run = load_runner(args.backend)
     with LocalCluster(config) as cluster:
         sizes = cluster.sizes
 
@@ -457,12 +469,11 @@ def _cmd_loadtest_cluster(args: argparse.Namespace) -> int:
                 ims_fraction=args.ims_fraction,
                 piggy_filter="maxpiggy=10",
                 keepalive=args.keepalive,
-                max_inflight=args.max_inflight,
             )
         except ValueError as exc:
             print(f"loadtest: {exc}", file=sys.stderr)
             return 2
-        report = run(
+        report = run_load(
             cluster.lb.address, cluster.lb.port, cluster.urls, load,
             validate=validate,
             flush_path=args.telemetry_series,
@@ -472,7 +483,6 @@ def _cmd_loadtest_cluster(args: argparse.Namespace) -> int:
             _dump_telemetry(args.telemetry_out)
         print(f"target               cluster "
               f"({args.shards} shards x {args.replicas} replicas)")
-        print(f"backend              {args.backend}")
         print(f"keep-alive           {'on' if args.keepalive else 'off'}")
         print(report.format())
         ratio = _print_cluster_report(cluster.status())
@@ -491,10 +501,10 @@ def _cmd_loadtest_cluster(args: argparse.Namespace) -> int:
 def _cmd_loadtest(args: argparse.Namespace) -> int:
     from contextlib import ExitStack
 
-    from .httpwire.backends import load_runner, origin_server_class, proxy_server_class
+    from .httpwire.backends import origin_server_class
     from .httpwire.faults import FaultInjectingInterposer
-    from .httpwire.loadgen import LoadConfig
-    from .httpwire.netproxy import UpstreamPolicy
+    from .httpwire.loadgen import LoadConfig, run_load
+    from .httpwire.netproxy import PiggybackHttpProxy, UpstreamPolicy
     from .httpwire.netserver import synthetic_body
     from .proxy.proxy import ProxyConfig
     from .server.resources import ResourceStore
@@ -503,7 +513,17 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
     from .workloads.sitegen import SiteConfig, generate_site
 
     if args.target == "cluster":
+        if _reject_flags("loadtest", "to --target cluster", {
+            "--backend async": args.backend == "async",
+            "--fault": args.fault != "none",
+            "--state-dir": args.state_dir is not None,
+        }):
+            return 2
         return _cmd_loadtest_cluster(args)
+    if _reject_flags("loadtest", f"to --target {args.target}", {
+        "--balance-within": args.balance_within is not None,
+    }):
+        return 2
 
     telemetry_requested = args.telemetry_out or args.telemetry_series
     if telemetry_requested:
@@ -533,20 +553,13 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
     engine = PiggybackServer(resources, store)
 
     origin_cls = origin_server_class(args.backend)
-    proxy_cls = proxy_server_class(args.backend)
-    run = load_runner(args.backend)
-    # The worker cap is a threaded-stack knob; the async stack multiplexes
-    # on one loop and takes a (much higher) connection cap instead.
-    scale_kwargs = (
-        {} if args.backend == "async" else {"max_workers": args.max_workers}
-    )
 
     with ExitStack() as stack:
         if durable is not None:
             stack.callback(durable.close, snapshot=True)
         origin = stack.enter_context(
             origin_cls(engine, site_host=host, durable_state=durable,
-                       idle_timeout=args.idle_timeout, **scale_kwargs)
+                       idle_timeout=args.idle_timeout, **_origin_scale(args))
         )
         origin_address = (origin.address, origin.port)
         if args.fault != "none":
@@ -562,13 +575,13 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
             piggy_filter = "maxpiggy=10"
         else:
             proxy = stack.enter_context(
-                proxy_cls(
+                PiggybackHttpProxy(
                     origins={host: origin_address},
                     config=ProxyConfig(name="loadtest-proxy"),
                     upstream_policy=UpstreamPolicy(timeout=2.0, max_attempts=3,
                                                    backoff=0.02),
                     idle_timeout=args.idle_timeout,
-                    **scale_kwargs,
+                    max_workers=args.max_workers,
                 )
             )
             address, port = proxy.address, proxy.port
@@ -593,12 +606,11 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
                 piggy_filter=piggy_filter,
                 absolute_targets=absolute_targets,
                 keepalive=args.keepalive,
-                max_inflight=args.max_inflight,
             )
         except ValueError as exc:
             print(f"loadtest: {exc}", file=sys.stderr)
             return 2
-        report = run(
+        report = run_load(
             address, port, urls, config, validate=validate,
             flush_path=args.telemetry_series,
             flush_interval=args.flush_interval,
@@ -608,7 +620,7 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
 
         keepalive_label = "on" if args.keepalive else "off"
         print(f"target               {args.target} (fault profile: {args.fault})")
-        print(f"backend              {args.backend}")
+        print(f"origin backend       {args.backend}")
         print(f"keep-alive           {keepalive_label}")
         print(report.format())
         if args.target == "proxy":
@@ -684,31 +696,32 @@ def _parse_backend_specs(specs: list[str]):
 
 def _cmd_serve_lb(args: argparse.Namespace) -> int:
     """Run only the LB front tier against already-running origins."""
-    from .httpwire.backends import lb_server_class
-    from .lb.balancer import LbPolicy
+    from .lb.balancer import LbHttpServer, LbPolicy
     from .lb.cluster import _transition_hook
     from .lb.health import HealthChecker, HealthPolicy
     from .lb.routing import RoutingTable
 
+    if _reject_flags("serve", "to --lb", {
+        "--backend async": args.backend == "async",
+        "--state-dir": args.state_dir is not None,
+        "--access-log": args.access_log is not None,
+    }):
+        return 2
     try:
         shard_count, slots = _parse_backend_specs(args.backends or [])
     except ValueError as exc:
         print(f"serve: {exc}", file=sys.stderr)
         return 2
     table = RoutingTable(shard_count, slots, snapshot_ttl=args.snapshot_ttl)
-    lb_cls = lb_server_class(args.backend)
-    scale_kwargs = (
-        {} if args.backend == "async" else {"max_workers": args.max_workers}
-    )
     try:
-        lb = lb_cls(
+        lb = LbHttpServer(
             table,
             address=args.address,
             port=args.port,
             policy=LbPolicy(snapshot_ttl=args.snapshot_ttl),
             site_host=args.host,
             idle_timeout=args.idle_timeout,
-            **scale_kwargs,
+            max_workers=args.max_workers,
         )
     except OSError as exc:
         return _bind_error("serve", exc, args.address, args.port)
@@ -720,7 +733,7 @@ def _cmd_serve_lb(args: argparse.Namespace) -> int:
         with lb:
             checker.start()
             print(f"load balancer on {lb.address}:{lb.port} "
-                  f"({args.backend} backend, {shard_count} shards, "
+                  f"({shard_count} shards, "
                   f"{len(slots)} backends)")
             sys.stdout.flush()
             _wait_serving(lb, args.max_seconds)
@@ -765,9 +778,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         logger = BufferedAccessLogger(args.access_log,
                                       interval=args.flush_interval)
     origin_cls = origin_server_class(args.backend)
-    scale_kwargs = (
-        {} if args.backend == "async" else {"max_workers": args.max_workers}
-    )
     try:
         try:
             origin = origin_cls(
@@ -778,7 +788,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 access_logger=logger,
                 durable_state=state,
                 idle_timeout=args.idle_timeout,
-                **scale_kwargs,
+                **_origin_scale(args),
             )
         except OSError as exc:
             return _bind_error("serve", exc, args.address, args.port)
@@ -819,7 +829,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         pages=args.pages,
         seed=args.seed,
         level=args.level,
-        backend=args.backend,
         address=args.address,
         lb_port=args.port,
         max_workers=args.max_workers,
@@ -839,7 +848,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         except OSError as exc:
             return _bind_error("cluster", exc, args.address, args.port)
         print(f"cluster lb on {address}:{port} "
-              f"({args.backend} backend, {args.shards} shards x "
+              f"({args.shards} shards x "
               f"{args.replicas} replicas)")
         print(f"state base           {cluster.state_base}")
         for shard, replica, backend_port, state_dir in cluster.layout():
@@ -1182,7 +1191,9 @@ def build_parser() -> argparse.ArgumentParser:
                                "than this max/min factor (target=cluster)")
     loadtest.add_argument("--backend", choices=("threaded", "async"),
                           default="threaded",
-                          help="wire stack: thread-per-connection or event loop")
+                          help="origin frontend: thread-per-connection or event "
+                               "loop (the proxy is always threaded; "
+                               "target=origin|proxy)")
     loadtest.add_argument("--clients", type=int, default=8)
     loadtest.add_argument("--requests", type=int, default=25,
                           help="requests per client")
@@ -1195,15 +1206,14 @@ def build_parser() -> argparse.ArgumentParser:
                           help="fraction of revisits sent If-Modified-Since")
     loadtest.add_argument("--pages", type=int, default=48,
                           help="synthetic site size")
-    loadtest.add_argument("--max-workers", type=int, default=64)
+    loadtest.add_argument("--max-workers", type=int, default=64,
+                          help="worker cap of each threaded server")
     loadtest.add_argument("--idle-timeout", type=float, default=None,
                           help="server-side keep-alive idle reap timeout in "
                                "seconds (default: no reaping)")
-    loadtest.add_argument("--max-inflight", type=int, default=0,
-                          help="async open-loop cap on in-flight exchanges "
-                               "(0 = unbounded; threaded runner ignores it)")
     loadtest.add_argument("--fault", choices=_FAULT_PROFILES, default="none",
-                          help="fault-injection profile between proxy and origin")
+                          help="fault-injection profile in front of the origin "
+                               "(target=origin|proxy)")
     loadtest.add_argument("--keepalive", action=argparse.BooleanOptionalAction,
                           default=True,
                           help="reuse persistent client connections "
@@ -1218,7 +1228,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="seconds between time-series flushes")
     loadtest.add_argument("--state-dir", default=None,
                           help="serve from a durable state directory "
-                               "(journal + snapshot, recovered on start)")
+                               "(journal + snapshot, recovered on start; "
+                               "target=origin|proxy)")
     loadtest.set_defaults(handler=_cmd_loadtest)
 
     serve = sub.add_parser(
@@ -1257,13 +1268,15 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--seed", type=int, default=0)
     serve.add_argument("--backend", choices=("threaded", "async"),
                        default="threaded",
-                       help="wire stack: thread-per-connection or event loop")
-    serve.add_argument("--max-workers", type=int, default=64)
+                       help="origin frontend: thread-per-connection or event "
+                            "loop (the --lb front tier is always threaded)")
+    serve.add_argument("--max-workers", type=int, default=64,
+                       help="worker cap of the threaded origin or LB")
     serve.add_argument("--idle-timeout", type=float, default=None,
                        help="server-side keep-alive idle reap timeout in "
                             "seconds (default: no reaping)")
     serve.add_argument("--access-log", default=None,
-                       help="buffered CLF access log path")
+                       help="buffered CLF access log path (not with --lb)")
     serve.add_argument("--flush-interval", type=float, default=1.0,
                        help="access-log flush period in seconds")
     serve.add_argument("--max-seconds", type=float, default=None,
@@ -1296,9 +1309,6 @@ def build_parser() -> argparse.ArgumentParser:
     cluster.add_argument("--level", type=int, default=1,
                          help="directory-volume level")
     cluster.add_argument("--seed", type=int, default=0)
-    cluster.add_argument("--backend", choices=("threaded", "async"),
-                         default="threaded",
-                         help="wire stack for the LB and every origin")
     cluster.add_argument("--max-workers", type=int, default=32,
                          help="worker cap per origin and for the LB")
     cluster.add_argument("--idle-timeout", type=float, default=None,

@@ -4,8 +4,7 @@ Three whole-program properties that per-file rules structurally cannot
 check, because the offending code is always *somewhere else*:
 
 * ``flow-blocking-reachable`` — no call chain from the event-loop
-  surface (coroutines and protocol callbacks in ``repro.httpwire.aio``
-  and the async LB front tier ``repro.lb.aio``)
+  surface (coroutines and protocol callbacks in ``repro.httpwire.aio``)
   may reach a synchronous sleep/fsync/socket/lock-acquire, at any depth;
 * ``flow-lock-across-blocking`` — a ``with <lock>:`` region must not
   call, at any depth, something that blocks, and a coroutine must not
@@ -67,7 +66,7 @@ SOCKET_ATTRS = frozenset(
     }
 )
 
-_AIO_PREFIXES = ("repro.httpwire.aio", "repro.lb.aio")
+_AIO_PREFIXES = ("repro.httpwire.aio",)
 _PROTOCOL_BASES = ("asyncio.BufferedProtocol", "asyncio.Protocol")
 
 

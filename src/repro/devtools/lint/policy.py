@@ -78,14 +78,7 @@ DEFAULT_POLICY = Policy(
         ("resources", ("src/repro", "benchmarks")),
         ("api", ("src/repro",)),
         ("telemetry", ("src/repro", "benchmarks")),
-        (
-            "aio",
-            (
-                "src/repro/httpwire/aio",
-                "src/repro/httpmodel/aio.py",
-                "src/repro/lb/aio.py",
-            ),
-        ),
+        ("aio", ("src/repro/httpwire/aio",)),
         ("flow", ("src/repro",)),
     )
 )

@@ -2,9 +2,9 @@
 
 Every HTTP reader in the package frames through this module: the
 threaded and asyncio wire frontends over their per-connection receive
-buffers, the load balancer's backend relay, and the blocking and async
-stream readers (:func:`~.messages.read_request`,
-:func:`~.messages.read_response`, :func:`~.aio.read_response_async`,
+buffers, the load balancer's backend relay, and the blocking stream
+readers (:func:`~.messages.read_request`,
+:func:`~.messages.read_response`,
 :func:`repro.lb.forward.read_raw_response`), which only feed it.  It does
 no I/O and reads no clock: hand it a buffer whose first byte starts a
 message and it answers with offsets and parsed fields, or with how much

@@ -5,7 +5,7 @@ from .netclient import HttpConnection, fetch_once
 from .netserver import PiggybackHttpServer, PlainHttpServer, synthetic_body
 from .netproxy import HttpUpstream, PiggybackHttpProxy, UpstreamPolicy, UpstreamStats
 from .netcenter import TransparentHttpVolumeCenter
-from .loadgen import ClientState, LoadConfig, LoadReport, percentile, run_load
+from .loadgen import LoadConfig, LoadReport, percentile, run_load
 from .faults import Fault, FaultInjectingInterposer
 from .backends import BACKENDS
 
@@ -14,7 +14,6 @@ __all__ = [
     "WireServerCore",
     "WireServerStats",
     "BACKENDS",
-    "ClientState",
     "HttpConnection",
     "fetch_once",
     "PiggybackHttpServer",

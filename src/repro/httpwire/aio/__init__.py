@@ -1,28 +1,19 @@
-"""Event-loop wire stack: asyncio twins of the threaded servers/client.
+"""Event-loop origin frontend: the asyncio twin of the threaded origin.
 
-Selectable everywhere via ``--backend threaded|async`` (see
-:mod:`repro.httpwire.backends`).  The threaded stack remains the
-differential oracle — both backends share the application cores and
-must produce byte-identical responses.
+One role only — the piggyback origin, picked with ``--backend async`` on
+``repro serve`` and ``repro loadtest`` (see
+:mod:`repro.httpwire.backends`).  It parks thousands of idle keep-alive
+connections on one loop where the threaded pool would pin a worker each.
+Every other wire role (proxy, load balancer, volume center, clients,
+load generator) is threaded-only.  The threaded origin remains the
+differential oracle: both share the application core and must produce
+byte-identical responses.
 """
 
 from .server import AsyncWireServer
-from .client import AsyncHttpConnection, fetch_once_async
-from .apps import (
-    AsyncPiggybackHttpProxy,
-    AsyncPiggybackHttpServer,
-    AsyncPlainHttpServer,
-    AsyncTransparentHttpVolumeCenter,
-)
-from .loadgen import run_load_async
+from .apps import AsyncPiggybackHttpServer
 
 __all__ = [
     "AsyncWireServer",
-    "AsyncHttpConnection",
-    "fetch_once_async",
     "AsyncPiggybackHttpServer",
-    "AsyncPlainHttpServer",
-    "AsyncPiggybackHttpProxy",
-    "AsyncTransparentHttpVolumeCenter",
-    "run_load_async",
 ]

@@ -1,39 +1,26 @@
-"""Async wire frontends for the origin, proxy, and volume center.
+"""Async wire frontend for the piggyback origin.
 
-Each class pairs a backend-neutral application core (the same mixin the
-threaded frontend uses) with :class:`.server.AsyncWireServer`, so the two
-backends share one implementation of request translation, admin
+The class pairs the backend-neutral origin core (the same mixin the
+threaded frontend uses) with :class:`.server.AsyncWireServer`, so the
+two backends share one implementation of request translation, admin
 endpoints, and piggyback trailer handling — and therefore answer
 byte-identical responses.
 
-Offload policy per app:
-
-* **origin** — the serving path is lock-free (epoch snapshots + the
-  piggyback trailer cache), so handlers run inline on the loop by
-  default; attaching an access logger or durable state (journal fsyncs)
-  flips on executor offload so disk I/O never stalls the loop;
-* **proxy / volume center** — the upstream exchange is blocking socket
-  I/O on the pooled sync client, so handlers always offload.
+The serving path is lock-free (epoch snapshots + the piggyback trailer
+cache), so handlers run inline on the loop by default; attaching an
+access logger or durable state (journal fsyncs) flips on executor
+offload so disk I/O never stalls the loop.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
 
-from ...proxy.proxy import ProxyConfig
 from ...server.server import PiggybackServer
-from ...server.volume_center import TransparentVolumeCenter
-from ..netcenter import VolumeCenterApp
-from ..netproxy import PiggybackProxyApp, UpstreamPolicy
-from ..netserver import PiggybackOriginApp, PlainOriginApp
+from ..netserver import PiggybackOriginApp
 from .server import AsyncWireServer
 
-__all__ = [
-    "AsyncPiggybackHttpServer",
-    "AsyncPlainHttpServer",
-    "AsyncPiggybackHttpProxy",
-    "AsyncTransparentHttpVolumeCenter",
-]
+__all__ = ["AsyncPiggybackHttpServer"]
 
 
 class AsyncPiggybackHttpServer(PiggybackOriginApp, AsyncWireServer):
@@ -65,96 +52,3 @@ class AsyncPiggybackHttpServer(PiggybackOriginApp, AsyncWireServer):
             name=f"origin:{site_host}",
         )
         self._init_origin_app(server, site_host, clock, access_logger, durable_state)
-
-
-class AsyncPlainHttpServer(PlainOriginApp, AsyncWireServer):
-    """Event-loop legacy origin: plain HTTP/1.1, no piggyback support."""
-
-    def __init__(
-        self,
-        resources: dict[str, tuple[bytes, float]],
-        address: str = "127.0.0.1",
-        port: int = 0,
-        io_timeout: float = 30.0,
-        idle_timeout: float | None = None,
-        max_connections: int = 20000,
-    ):
-        AsyncWireServer.__init__(
-            self,
-            address,
-            port,
-            io_timeout=io_timeout,
-            idle_timeout=idle_timeout,
-            max_connections=max_connections,
-            name="legacy-origin",
-        )
-        self._init_plain_app(resources)
-
-
-class AsyncPiggybackHttpProxy(PiggybackProxyApp, AsyncWireServer):
-    """Event-loop wire frontend for one :class:`PiggybackProxy`."""
-
-    def __init__(
-        self,
-        origins: dict[str, tuple[str, int]],
-        config: ProxyConfig = ProxyConfig(name="wire-proxy"),
-        address: str = "127.0.0.1",
-        port: int = 0,
-        clock: Callable[[], float] | None = None,
-        upstream_policy: UpstreamPolicy = UpstreamPolicy(),
-        serve_stale_on_error: bool = True,
-        io_timeout: float = 30.0,
-        idle_timeout: float | None = None,
-        max_connections: int = 20000,
-        executor_workers: int = 32,
-    ):
-        AsyncWireServer.__init__(
-            self,
-            address,
-            port,
-            io_timeout=io_timeout,
-            idle_timeout=idle_timeout,
-            max_connections=max_connections,
-            # The upstream exchange blocks on pooled sync sockets.
-            offload_handler=True,
-            executor_workers=executor_workers,
-            name="piggyback-proxy",
-        )
-        self._init_proxy_app(
-            origins, config, clock, upstream_policy, serve_stale_on_error
-        )
-
-    def stop(self, drain_timeout: float = 5.0) -> None:
-        super().stop(drain_timeout)
-        self.upstream.close()
-
-
-class AsyncTransparentHttpVolumeCenter(VolumeCenterApp, AsyncWireServer):
-    """Event-loop on-path intermediary injecting piggybacks."""
-
-    def __init__(
-        self,
-        origins: dict[str, tuple[str, int]],
-        center: TransparentVolumeCenter | None = None,
-        address: str = "127.0.0.1",
-        port: int = 0,
-        clock: Callable[[], float] | None = None,
-        io_timeout: float = 30.0,
-        idle_timeout: float | None = None,
-        max_connections: int = 20000,
-        upstream_timeout: float = 10.0,
-        executor_workers: int = 32,
-    ):
-        AsyncWireServer.__init__(
-            self,
-            address,
-            port,
-            io_timeout=io_timeout,
-            idle_timeout=idle_timeout,
-            max_connections=max_connections,
-            # The origin round-trip blocks on a fresh sync connection.
-            offload_handler=True,
-            executor_workers=executor_workers,
-            name="volume-center",
-        )
-        self._init_center_app(origins, center, clock, upstream_timeout)

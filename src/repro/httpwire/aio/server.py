@@ -25,12 +25,12 @@ control uses ``call_soon_threadsafe`` exclusively.
 
 Handlers are synchronous (:meth:`WireServerCore._respond` and everything
 under it).  By default they run inline on the loop thread, which is
-correct for the origin's lock-free serving path (PR 5 made volume reads
+correct for the origin's lock-free serving path (volume reads are
 epoch-snapshot based precisely so no handler blocks on a contended
-lock).  Handlers that *do* block — the proxy's upstream exchange, the
-volume center's origin round-trip, an origin with journal fsyncs or
+lock).  Handlers that *do* block — an origin with journal fsyncs or
 access-log flushes — set ``offload_handler=True`` and run on a bounded
-thread pool instead, keeping the loop free to shuffle bytes.
+thread pool of ``EXECUTOR_WORKERS`` threads instead, keeping the loop
+free to shuffle bytes.
 
 Hot-path design
 ---------------
@@ -68,6 +68,9 @@ from ...telemetry import REGISTRY
 from ..connbase import WireServerCore, WireServerStats
 
 __all__ = ["AsyncWireServer"]
+
+#: Handler-offload pool width (``offload_handler=True`` servers only).
+EXECUTOR_WORKERS = 32
 
 _TEL_ASYNC_ACTIVE = REGISTRY.gauge(
     "wire_async_active_connections",
@@ -413,7 +416,6 @@ class AsyncWireServer(WireServerCore):
         idle_timeout: float | None = None,
         max_connections: int = 20000,
         offload_handler: bool = False,
-        executor_workers: int = 32,
         lag_interval: float = 0.25,
         name: str = "wire-async",
     ):
@@ -454,7 +456,7 @@ class AsyncWireServer(WireServerCore):
         self._executor: concurrent.futures.ThreadPoolExecutor | None = None
         if offload_handler:
             self._executor = concurrent.futures.ThreadPoolExecutor(
-                max_workers=executor_workers, thread_name_prefix=f"{name}:handler"
+                max_workers=EXECUTOR_WORKERS, thread_name_prefix=f"{name}:handler"
             )
 
     # -- lifecycle ---------------------------------------------------------
@@ -647,8 +649,8 @@ class AsyncWireServer(WireServerCore):
 
         Inline keeps the fast lock-free origin path on the loop thread
         (one context switch fewer); offload moves blocking handlers —
-        upstream socket exchanges, journal fsyncs — onto a bounded
-        executor so the loop never stalls.  Each ``_respond`` call runs
+        journal fsyncs, access-log flushes — onto a bounded executor so
+        the loop never stalls.  Each ``_respond`` call runs
         start-to-finish on one thread either way, so the tracer's
         thread-local span context stays coherent.
         """

@@ -1,97 +1,41 @@
-"""Backend registry: one name → the matching wire-server classes.
+"""Backend registry: one name → the matching wire-server class.
 
-``repro serve``, ``repro loadtest``, and test harnesses pick the wire
-stack by name — ``threaded`` (thread-per-connection, the differential
-oracle) or ``async`` (single event loop, C10K).  The asyncio package is
-imported lazily so merely importing :mod:`repro.httpwire` never pays for
-it.
+``repro serve``, ``repro loadtest``, and test harnesses pick the origin
+frontend by name — ``threaded`` (thread-per-connection, the differential
+oracle) or ``async`` (single event loop, for origins holding many idle
+keep-alive connections).  Every other wire role is threaded-only; the
+proxy lookup keeps its name argument for callers that pass
+``"threaded"``.  The asyncio package is imported lazily so merely
+importing :mod:`repro.httpwire` never pays for it.
 
-Both stacks expose the same constructor surface for the parameters the
-callers here use; ``max_workers`` (threaded) and ``max_connections``
-(async) intentionally remain backend-specific tuning knobs.
+``max_workers`` (threaded) and ``max_connections`` (async) remain
+backend-specific tuning knobs of the origin.
 """
 
 from __future__ import annotations
 
 import importlib
 
-__all__ = [
-    "BACKENDS",
-    "origin_server_class",
-    "plain_server_class",
-    "proxy_server_class",
-    "volume_center_class",
-    "lb_server_class",
-    "load_runner",
-]
+__all__ = ["BACKENDS", "origin_server_class", "proxy_server_class"]
 
 BACKENDS = ("threaded", "async")
 
 
-def _check(backend: str) -> None:
-    if backend not in BACKENDS:
-        raise ValueError(f"unknown wire backend {backend!r} (choose from {BACKENDS})")
-
-
-def _aio():
-    return importlib.import_module("repro.httpwire.aio")
-
-
 def origin_server_class(backend: str):
     """The piggyback origin frontend class for *backend*."""
-    _check(backend)
+    if backend not in BACKENDS:
+        raise ValueError(f"unknown wire backend {backend!r} (choose from {BACKENDS})")
     if backend == "async":
-        return _aio().AsyncPiggybackHttpServer
+        return importlib.import_module("repro.httpwire.aio").AsyncPiggybackHttpServer
     from .netserver import PiggybackHttpServer
 
     return PiggybackHttpServer
 
 
-def plain_server_class(backend: str):
-    """The legacy (no-piggyback) origin frontend class for *backend*."""
-    _check(backend)
-    if backend == "async":
-        return _aio().AsyncPlainHttpServer
-    from .netserver import PlainHttpServer
-
-    return PlainHttpServer
-
-
 def proxy_server_class(backend: str):
-    """The caching proxy frontend class for *backend*."""
-    _check(backend)
-    if backend == "async":
-        return _aio().AsyncPiggybackHttpProxy
+    """The caching proxy frontend class; the proxy is threaded-only."""
+    if backend != "threaded":
+        raise ValueError(f"the proxy has only the threaded backend, not {backend!r}")
     from .netproxy import PiggybackHttpProxy
 
     return PiggybackHttpProxy
-
-
-def volume_center_class(backend: str):
-    """The transparent volume-center frontend class for *backend*."""
-    _check(backend)
-    if backend == "async":
-        return _aio().AsyncTransparentHttpVolumeCenter
-    from .netcenter import TransparentHttpVolumeCenter
-
-    return TransparentHttpVolumeCenter
-
-
-def lb_server_class(backend: str):
-    """The cluster load-balancer front-tier class for *backend*."""
-    _check(backend)
-    if backend == "async":
-        return importlib.import_module("repro.lb.aio").AsyncLbHttpServer
-    from ..lb.balancer import LbHttpServer
-
-    return LbHttpServer
-
-
-def load_runner(backend: str):
-    """The ``run_load``-shaped load-generator entry point for *backend*."""
-    _check(backend)
-    if backend == "async":
-        return _aio().run_load_async
-    from .loadgen import run_load
-
-    return run_load

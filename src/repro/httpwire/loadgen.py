@@ -37,7 +37,6 @@ from .netclient import HttpConnection
 __all__ = [
     "LoadConfig",
     "LoadReport",
-    "ClientState",
     "ERROR_KINDS",
     "classify_error",
     "percentile",
@@ -138,10 +137,6 @@ class LoadConfig:
     # False opens a fresh connection per request and sends
     # ``Connection: close`` — the HTTP/1.0-style worst case.
     keepalive: bool = True
-    # Async open-loop backpressure valve: cap on exchanges simultaneously
-    # in flight across all clients (0 = unbounded).  Ignored by the
-    # threaded runner, whose in-flight count is bounded by ``clients``.
-    max_inflight: int = 0
 
     def __post_init__(self) -> None:
         if self.clients < 1:
@@ -156,8 +151,6 @@ class LoadConfig:
             raise ValueError("ims_fraction must be in [0, 1]")
         if self.warmup_requests >= self.requests_per_client:
             raise ValueError("warmup_requests must be < requests_per_client")
-        if self.max_inflight < 0:
-            raise ValueError("max_inflight must be >= 0")
 
 
 @dataclass(slots=True)
@@ -375,48 +368,6 @@ class _Accumulator:
         )
 
 
-class ClientState:
-    """Deterministic per-client request stream: seeded RNG and IMS memory.
-
-    Shared by the threaded runner below and the async runner in
-    :mod:`repro.httpwire.aio.loadgen` so both backends issue the exact
-    same request sequence for a given (seed, index) — the property the
-    differential suite relies on.  RNG draw order is part of the
-    contract: one draw for the URL, then at most one for the IMS coin.
-    """
-
-    def __init__(self, index: int, urls: Sequence[str], config: LoadConfig):
-        self.index = index
-        self.urls = urls
-        self.config = config
-        self.rng = random.Random((config.seed << 16) ^ index)
-        self.last_modified_seen: dict[str, str] = {}
-
-    def next_url(self) -> str:
-        return self.urls[self.rng.randrange(len(self.urls))]
-
-    def build_request(self, url: str) -> HttpRequest:
-        host, _, path = url.partition("/")
-        target = f"http://{url}" if self.config.absolute_targets else "/" + path
-        request = HttpRequest(method="GET", target=target, headers=Headers())
-        request.headers.set("Host", self.config.host_header or host)
-        request.headers.set("X-Proxy-Name", f"loadgen-{self.index}")
-        if self.config.piggy_filter is not None:
-            request.headers.set("TE", "chunked")
-            request.headers.set("Piggy-filter", self.config.piggy_filter)
-        if not self.config.keepalive:
-            request.headers.set("Connection", "close")
-        ims = self.last_modified_seen.get(url)
-        if ims is not None and self.rng.random() < self.config.ims_fraction:
-            request.headers.set("If-Modified-Since", ims)
-        return request
-
-    def note_response(self, url: str, response: HttpResponse) -> None:
-        lm = response.headers.get("Last-Modified")
-        if lm is not None:
-            self.last_modified_seen[url] = lm
-
-
 class _Client:
     """One load-generating client: seeded RNG, IMS memory, persistence."""
 
@@ -440,7 +391,35 @@ class _Client:
         self.validate = validate
         self.schedule = schedule  # this client's open-loop arrival offsets
         self.start_time = start_time
-        self.state = ClientState(index, urls, config)
+        self.urls = urls
+        self.rng = random.Random((config.seed << 16) ^ index)
+        self.last_modified_seen: dict[str, str] = {}
+
+    def next_url(self) -> str:
+        return self.urls[self.rng.randrange(len(self.urls))]
+
+    def build_request(self, url: str) -> HttpRequest:
+        """The request for *url*.  RNG draw order is part of a seeded
+        run's contract: one draw for the URL, at most one for the IMS coin."""
+        host, _, path = url.partition("/")
+        target = f"http://{url}" if self.config.absolute_targets else "/" + path
+        request = HttpRequest(method="GET", target=target, headers=Headers())
+        request.headers.set("Host", self.config.host_header or host)
+        request.headers.set("X-Proxy-Name", f"loadgen-{self.index}")
+        if self.config.piggy_filter is not None:
+            request.headers.set("TE", "chunked")
+            request.headers.set("Piggy-filter", self.config.piggy_filter)
+        if not self.config.keepalive:
+            request.headers.set("Connection", "close")
+        ims = self.last_modified_seen.get(url)
+        if ims is not None and self.rng.random() < self.config.ims_fraction:
+            request.headers.set("If-Modified-Since", ims)
+        return request
+
+    def note_response(self, url: str, response: HttpResponse) -> None:
+        lm = response.headers.get("Last-Modified")
+        if lm is not None:
+            self.last_modified_seen[url] = lm
 
     def run(self) -> None:
         connection = HttpConnection(self.address, self.port, timeout=self.config.timeout)
@@ -455,8 +434,8 @@ class _Client:
                     # Fresh connection per request; the server closes its
                     # side after answering a Connection: close request.
                     connection.close()
-                url = self.state.next_url()
-                request = self.state.build_request(url)
+                url = self.next_url()
+                request = self.build_request(url)
                 measured = sequence >= self.config.warmup_requests
                 _TEL_CLIENT_REQUESTS.inc()
                 with TRACER.span("client.request") as span:
@@ -481,7 +460,7 @@ class _Client:
                         continue
                     latency = time.perf_counter() - begin
                 _TEL_CLIENT_REQUEST_SECONDS.observe(latency)
-                self.state.note_response(url, response)
+                self.note_response(url, response)
                 corrupted = bool(self.validate) and not self.validate(url, response)
                 self.accumulator.record(
                     latency, response, measured=measured, corrupted=corrupted

@@ -39,11 +39,10 @@ __all__ = ["VolumeCenterApp", "TransparentHttpVolumeCenter"]
 
 
 class VolumeCenterApp:
-    """Backend-neutral volume-center logic shared by both wire frontends.
+    """Volume-center logic, paired with the threaded frontend below.
 
     The origin round-trip inside :meth:`handle_request` is *blocking*
-    socket I/O — the asyncio frontend in :mod:`repro.httpwire.aio` runs
-    it on an executor thread.
+    socket I/O, so the volume center has no asyncio frontend.
     """
 
     def _init_center_app(

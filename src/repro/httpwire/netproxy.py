@@ -366,12 +366,10 @@ class HttpUpstream:
 
 
 class PiggybackProxyApp:
-    """Backend-neutral proxy logic: one :class:`PiggybackProxy` on HTTP.
+    """Proxy logic: one :class:`PiggybackProxy` on HTTP.
 
-    Shared by the threaded frontend below and the asyncio frontend in
-    :mod:`repro.httpwire.aio` so both answer byte-identical responses.
-    Note the upstream exchange is *blocking* socket I/O — the asyncio
-    frontend runs :meth:`handle_request` on an executor thread.
+    Paired with the threaded frontend below, the proxy's only one: the
+    upstream exchange is *blocking* socket I/O.
     """
 
     def _init_proxy_app(

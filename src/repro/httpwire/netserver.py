@@ -6,11 +6,12 @@ delivered with chunked transfer-coding and a ``P-volume`` trailer exactly
 as Section 2.3 describes; requests without the header get plain
 Content-Length responses, so legacy clients are unaffected.
 
-The request/response translation lives in :class:`PiggybackOriginApp`
-and :class:`PlainOriginApp` — backend-neutral mixins that pair with
+The piggyback origin's request/response translation lives in
+:class:`PiggybackOriginApp`, a backend-neutral mixin that pairs with
 either frontend: :class:`~repro.httpwire.connbase.ThreadedWireServer`
 here, or the asyncio loop in :mod:`repro.httpwire.aio`.  Both frontends
-therefore produce byte-identical responses.  The piggyback engine
+therefore produce byte-identical responses.  The legacy
+:class:`PlainHttpServer` is threaded-only.  The piggyback engine
 serializes metadata under its volume-store lock; body bytes are
 synthesized and sent on the serving thread/task with no lock held.
 """
@@ -221,7 +222,7 @@ class PiggybackHttpServer(PiggybackOriginApp, ThreadedWireServer):
 
 
 class PlainOriginApp:
-    """Backend-neutral legacy origin: static resources, no piggyback."""
+    """Legacy origin logic: static resources, no piggyback."""
 
     def _init_plain_app(self, resources: dict[str, tuple[bytes, float]]) -> None:
         self.resources = resources

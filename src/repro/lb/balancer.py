@@ -4,8 +4,8 @@
 :class:`~repro.httpwire.netserver.PiggybackOriginApp` pattern): it holds
 routing, stickiness, and forwarding, and implements ``handle_request``
 against the :class:`~repro.httpwire.connbase.WireServerCore` contract.
-:class:`LbHttpServer` marries it to the threaded frontend;
-:mod:`repro.lb.aio` provides the asyncio twin.
+:class:`LbHttpServer` marries it to the threaded frontend, the only
+one the load balancer has.
 
 Per-request work, in order:
 

@@ -36,10 +36,10 @@ from typing import Any
 
 from ..devtools.lockorder import make_lock
 from ..httpmodel.messages import HttpParseError, HttpRequest
-from ..httpwire.backends import lb_server_class, origin_server_class
 from ..httpwire.connbase import STATUS_PATH
 from ..httpwire.netclient import fetch_once
-from .balancer import LbPolicy, LoadBalancerApp
+from ..httpwire.netserver import PiggybackHttpServer
+from .balancer import LbHttpServer, LbPolicy, LoadBalancerApp
 from .health import HealthChecker, HealthPolicy
 from .routing import BackendSlot, RoutingTable
 
@@ -75,7 +75,6 @@ class ClusterConfig:
     max_depth: int = 1
     seed: int = 0
     level: int = 1
-    backend: str = "threaded"
     address: str = "127.0.0.1"
     lb_port: int = 0
     max_workers: int = 32
@@ -120,18 +119,14 @@ class _ClusterBase:
         self.table = RoutingTable(
             config.shards, slots, snapshot_ttl=config.policy.snapshot_ttl
         )
-        lb_cls = lb_server_class(config.backend)
-        scale_kwargs = (
-            {} if config.backend == "async" else {"max_workers": config.max_workers}
-        )
-        self.lb = lb_cls(
+        self.lb = LbHttpServer(
             self.table,
             address=config.address,
             port=config.lb_port,
             policy=config.policy,
             site_host=config.host,
             idle_timeout=config.idle_timeout,
-            **scale_kwargs,
+            max_workers=config.max_workers,
         )
         self.lb.start()
         self.health = None
@@ -172,10 +167,6 @@ class LocalCluster(_ClusterBase):
         self.sizes: dict[str, int] = {}
         self.engines: dict[tuple[int, int], PiggybackServer] = {}
         self.origins: dict[tuple[int, int], Any] = {}
-        origin_cls = origin_server_class(config.backend)
-        scale_kwargs = (
-            {} if config.backend == "async" else {"max_workers": config.max_workers}
-        )
         for shard in range(config.shards):
             for replica in range(config.replicas):
                 # Shared-nothing: a private resource + volume store per
@@ -190,12 +181,12 @@ class LocalCluster(_ClusterBase):
                 store = DirectoryVolumeStore(DirectoryVolumeConfig(level=config.level))
                 engine = PiggybackServer(resources, store)
                 self.engines[(shard, replica)] = engine
-                self.origins[(shard, replica)] = origin_cls(
+                self.origins[(shard, replica)] = PiggybackHttpServer(
                     engine,
                     site_host=config.host,
                     address=config.address,
                     idle_timeout=config.idle_timeout,
-                    **scale_kwargs,
+                    max_workers=config.max_workers,
                 )
         self.urls = sorted(self.sizes)
         self.lb = None
@@ -270,7 +261,6 @@ class ProcessCluster(_ClusterBase):
             "--max-depth", str(config.max_depth),
             "--seed", str(config.seed),
             "--level", str(config.level),
-            "--backend", config.backend,
             "--max-workers", str(config.max_workers),
         ]
         if not config.sync_journal:

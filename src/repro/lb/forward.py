@@ -12,9 +12,9 @@ connection receives into its own buffer, and
 trailer block — parsing only the status line and the header lines that
 mention the two framing fields.
 The front tier gets a :class:`RelayedResponse` whose ``serialize_into``
-appends the captured bytes verbatim.  Both wire backends send responses
-solely through ``serialize_into`` (``connbase._send`` and the aio
-server), so the subclass override is the only seam needed.
+appends the captured bytes verbatim.  The threaded front tier sends
+responses solely through ``serialize_into`` (``connbase._send``), so the
+subclass override is the only seam needed.
 
 Backend connections are pooled per slot with the same discipline as
 :class:`~repro.httpwire.netproxy.HttpUpstream`: LIFO checkout (keeps the

@@ -15,11 +15,12 @@ import random
 
 from repro.analysis.metrics import ReplayMetrics
 from repro.analysis.prediction import ReplayConfig
-from repro.analysis.windows import SourceState
 from repro.core.filters import ProxyFilter
 from repro.core.rpv import RpvList
 from repro.traces.records import Trace
 from repro.volumes.base import VolumeStore
+
+from replay_windows import SourceState
 
 __all__ = ["replay", "replay_many"]
 

@@ -1,10 +1,12 @@
-"""Per-source bookkeeping structures for trace replays.
+"""Per-source bookkeeping structures for the frozen reference replay.
 
 A replay tracks, for every request source, when each URL was last carried
 in a piggyback, when it was last requested, and which opened predictions
 are still awaiting resolution.  Plain dictionaries keyed by URL suffice —
 windows are checked lazily against the current time instead of being
-eagerly expired, which keeps every operation O(1).
+eagerly expired, which keeps every operation O(1).  Only
+:mod:`replay_oracle` and the tests use it; ``src/`` replays on the
+interned engine's arrays instead.
 """
 
 from __future__ import annotations

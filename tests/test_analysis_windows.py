@@ -1,6 +1,6 @@
 """Unit tests for replay bookkeeping structures."""
 
-from repro.analysis.windows import SourceState, TimestampMap
+from replay_windows import SourceState, TimestampMap
 
 
 class TestTimestampMap:

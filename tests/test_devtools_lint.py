@@ -700,7 +700,6 @@ def test_aio_family_scoped_to_async_stack():
     from repro.devtools.lint.policy import DEFAULT_POLICY
 
     assert DEFAULT_POLICY.applies("aio", "src/repro/httpwire/aio/server.py")
-    assert DEFAULT_POLICY.applies("aio", "src/repro/httpmodel/aio.py")
     assert not DEFAULT_POLICY.applies("aio", "src/repro/httpwire/netserver.py")
 
 

@@ -4,10 +4,10 @@
 so it is tested directly, with no sockets: a valid pipelined stream must
 frame into the same messages at the same byte boundaries however it is
 cut into receive pieces, every reader built on it — the blocking stream
-adapters (over whole and partial reads), the asyncio response reader,
-the socket receive loop of the threaded frontend and the LB relay — must
-agree with the framer on every input, malformed ones included, and
-re-framing a growing message must resume rather than start over.
+adapters (over whole and partial reads), the socket receive loop of the
+threaded frontend and the LB relay — must agree with the framer on
+every input, malformed ones included, and re-framing a growing message
+must resume rather than start over.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from repro.httpmodel import framing
-from repro.httpmodel.aio import read_response_async
 from repro.httpmodel.framing import (
     MAX_HEAD,
     NEED_EMPTY_LINE,
@@ -203,21 +202,11 @@ def readers(pieces, reader_fn, framer):
     buffer = bytearray()
     chunk = memoryview(bytearray(16))
     socket_like = PieceSocket(pieces)
-    found = {
+    return {
         "whole": stream_reader(io.BytesIO(data)),
         "partial": stream_reader(io.BufferedReader(PieceRaw(pieces), buffer_size=8)),
         "recv": lambda: recv_framed(socket_like, buffer, chunk, framer),
     }
-    if framer is frame_response:
-        # Everything is fed up front, so the reader never waits on its loop.
-        loop = asyncio.new_event_loop()
-        stream = asyncio.StreamReader(loop=loop)
-        loop.close()
-        for piece in pieces:
-            stream.feed_data(piece)
-        stream.feed_eof()
-        found["async"] = lambda: asyncio.run(read_response_async(stream))
-    return found
 
 
 def frame_all_incrementally(pieces, framer):

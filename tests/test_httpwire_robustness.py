@@ -11,7 +11,6 @@ from repro.httpmodel.messages import HttpParseError, HttpRequest, read_response
 from repro.httpwire.aio import AsyncPiggybackHttpServer
 from repro.httpwire.netclient import HttpConnection, fetch_once
 from repro.httpwire.netserver import PiggybackHttpServer
-from repro.lb.aio import AsyncLbHttpServer
 from repro.lb.balancer import LbHttpServer, LbPolicy
 from repro.lb.forward import BackendError, Forwarder
 from repro.lb.routing import BackendSlot, RoutingTable
@@ -265,7 +264,7 @@ def test_transient_accept_error_does_not_stop_accepting():
 # -- malformed Content-Length, both backends and the LB relay ---------------
 
 BACKENDS = {"threaded": PiggybackHttpServer, "async": AsyncPiggybackHttpServer}
-LB_FRONTENDS = {"threaded": LbHttpServer, "async": AsyncLbHttpServer}
+LB_FRONTENDS = {"threaded": LbHttpServer}
 # "9" * 5000 is past int()'s default digit limit: int() raises ValueError.
 with_bad_lengths = pytest.mark.parametrize(
     "value", ["abc", "5, 5", "-5", "9" * 5000], ids=["abc", "5, 5", "-5", "5000-digits"]

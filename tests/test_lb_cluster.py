@@ -11,9 +11,11 @@ import socket
 import pytest
 
 from repro.cli import _parse_backend_specs, main
-from repro.httpwire.backends import lb_server_class
-from repro.lb.aio import AsyncLbHttpServer
-from repro.lb.balancer import LbHttpServer, LbPolicy
+from repro.httpwire.aio import AsyncPiggybackHttpServer
+from repro.httpwire.backends import origin_server_class, proxy_server_class
+from repro.httpwire.netproxy import PiggybackHttpProxy
+from repro.httpwire.netserver import PiggybackHttpServer
+from repro.lb.balancer import LbPolicy
 from repro.lb.cluster import ClusterConfig, ClusterError, LocalCluster, ProcessCluster
 from repro.lb.health import HealthPolicy
 
@@ -62,17 +64,6 @@ def test_local_cluster_spreads_traffic_and_pins_proxies():
         assert status["routing"]["ejections"] == 0
 
 
-def test_local_cluster_async_front_tier():
-    config = ClusterConfig(shards=2, pages=16, backend="async",
-                           host="www.asyncc.example", **FAST)
-    with LocalCluster(config) as cluster:
-        assert isinstance(cluster.lb, AsyncLbHttpServer)
-        for url in cluster.urls[:6]:
-            response = get_via_lb(cluster.lb, "/" + url.partition("/")[2],
-                                  config.host)
-            assert response.status == 200
-
-
 def test_cluster_config_validates_topology():
     with pytest.raises(ValueError):
         ClusterConfig(shards=0)
@@ -80,11 +71,13 @@ def test_cluster_config_validates_topology():
         ClusterConfig(replicas=0)
 
 
-def test_backend_registry_resolves_lb_classes():
-    assert lb_server_class("threaded") is LbHttpServer
-    assert lb_server_class("async") is AsyncLbHttpServer
-    with pytest.raises(ValueError):
-        lb_server_class("fibers")
+def test_backend_registry_async_is_origin_only():
+    assert origin_server_class("threaded") is PiggybackHttpServer
+    assert origin_server_class("async") is AsyncPiggybackHttpServer
+    assert proxy_server_class("threaded") is PiggybackHttpProxy
+    for lookup, backend in ((proxy_server_class, "async"), (origin_server_class, "fibers")):
+        with pytest.raises(ValueError):
+            lookup(backend)
 
 
 def test_process_cluster_bind_failure_names_the_shard():
@@ -176,6 +169,38 @@ def test_cli_serve_requires_state_dir(capsys):
 def test_cli_serve_lb_rejects_malformed_backends(capsys):
     assert main(["serve", "--lb", "--backends", "bogus"]) == 2
     assert "SHARD:HOST:PORT" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["loadtest", "--target", "cluster", "--fault", "reset"], "--fault"),
+        (["loadtest", "--target", "cluster", "--state-dir", "{tmp}"], "--state-dir"),
+        (["loadtest", "--target", "cluster", "--backend", "async"], "--backend async"),
+        (["loadtest", "--target", "origin", "--balance-within", "2"], "--balance-within"),
+        (["loadtest", "--target", "proxy", "--balance-within", "2"], "--balance-within"),
+        (["serve", "--lb", "--state-dir", "{tmp}"], "--state-dir"),
+        (["serve", "--lb", "--access-log", "{tmp}/access.log"], "--access-log"),
+        (["serve", "--lb", "--backend", "async"], "--backend async"),
+    ],
+    ids=[
+        "cluster-fault", "cluster-state-dir", "cluster-async", "origin-balance",
+        "proxy-balance", "lb-state-dir", "lb-access-log", "lb-async",
+    ],
+)
+def test_cli_rejects_flags_the_target_would_ignore(argv, flag, tmp_path, capsys):
+    """A flag the chosen target cannot honour fails fast (exit 2, one
+    stderr line naming it) before anything starts or touches disk."""
+    state = tmp_path / "state"
+    argv = [arg.replace("{tmp}", str(state)) for arg in argv]
+    if argv[0] == "loadtest":
+        argv += ["--clients", "2", "--requests", "5"]
+    else:
+        argv += ["--backends", "0:127.0.0.1:9", "--max-seconds", "0.1"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and flag in err[0], err
+    assert not state.exists()
 
 
 # -- CLI: loadtest --target cluster + telemetry contract -------------------

@@ -7,8 +7,8 @@ connection to an equivalently warmed origin would have produced.  Both
 sides are driven with the same deterministic request stream under a
 pinned clock and compared element-wise:
 
-* one shard, both LB frontends, keep-alive and ``Connection: close``
-  modes — pure relay transparency;
+* one shard, keep-alive and ``Connection: close`` modes — pure relay
+  transparency;
 * many shards against per-shard shadow origins fed the partitioned
   subsequences the hash ring implies — partition coherence: because a
   proxy's stream for a volume always lands on the same shard, that
@@ -31,7 +31,6 @@ from repro.httpmodel.headers import Headers
 from repro.httpmodel.messages import HttpRequest, read_response
 from repro.httpmodel.piggy_codec import P_VOLUME_HEADER
 from repro.httpwire.netserver import PiggybackHttpServer, PlainHttpServer, synthetic_body
-from repro.lb.aio import AsyncLbHttpServer
 from repro.lb.balancer import LbHttpServer, LbPolicy
 from repro.lb.hashring import ConsistentHashRing, partition_key
 from repro.lb.routing import BackendSlot, RoutingTable
@@ -45,7 +44,7 @@ PAGES = {
     for d in range(6)
     for p in range(4)
 }
-LB_CLASSES = {"threaded": LbHttpServer, "async": AsyncLbHttpServer}
+LB_CLASSES = {"threaded": LbHttpServer}
 
 
 class SettableClock:

@@ -139,7 +139,6 @@ def test_sigkill_replica_ejected_then_readmitted_zero_failed_requests():
         host="www.killcluster.example",
         pages=12,
         directories=4,
-        backend="threaded",
         policy=FAST_POLICY,
         health=FAST_HEALTH,
         startup_timeout=30.0,

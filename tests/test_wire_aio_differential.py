@@ -8,11 +8,13 @@ socket — status line, headers, chunked framing, ``P-volume`` trailers —
 are captured and compared element-wise, in keep-alive and
 ``Connection: close`` modes.
 
-Beyond byte identity, the async frontend gets the same abuse the
+Beyond byte identity, the async origin gets the same abuse the
 threaded one already survives: transport faults via
 :class:`FaultInjectingInterposer`, the ``/.repro/`` admin namespace
 (status, drain-with-in-flight-request, snapshot, reload), idle
-keep-alive reaping, and the open/closed-loop async load generator.
+keep-alive reaping, and the open/closed-loop load generator.  The
+origin is the only asyncio frontend; every other wire role is
+threaded-only.
 """
 
 from __future__ import annotations
@@ -28,17 +30,11 @@ import pytest
 import durability_driver as driver
 from repro.httpmodel.messages import HttpRequest, read_response
 from repro.httpmodel.piggy_codec import P_VOLUME_HEADER
-from repro.httpwire.aio import (
-    AsyncPiggybackHttpProxy,
-    AsyncPiggybackHttpServer,
-    run_load_async,
-)
+from repro.httpwire.aio import AsyncPiggybackHttpServer
 from repro.httpwire.faults import Fault, FaultInjectingInterposer
-from repro.httpwire.loadgen import LoadConfig
+from repro.httpwire.loadgen import LoadConfig, run_load
 from repro.httpwire.netclient import HttpConnection, fetch_once
-from repro.httpwire.netproxy import PiggybackHttpProxy, UpstreamPolicy
 from repro.httpwire.netserver import PiggybackHttpServer, synthetic_body
-from repro.proxy.proxy import ProxyConfig
 from repro.server.durability import DurableState
 from repro.server.resources import ResourceStore
 from repro.server.server import PiggybackServer
@@ -54,9 +50,6 @@ BACKEND_CLASSES = {
     "threaded": PiggybackHttpServer,
     "async": AsyncPiggybackHttpServer,
 }
-FAST_RETRIES = UpstreamPolicy(
-    timeout=0.5, max_attempts=3, backoff=0.01, backoff_factor=2.0
-)
 
 
 class SettableClock:
@@ -249,48 +242,6 @@ def test_malformed_request_identical_400():
     assert replies["threaded"] == replies["async"]
 
 
-def test_async_proxy_responses_byte_identical_to_threaded():
-    """Same client stream through a threaded vs an async proxy (each over
-    its own threaded origin): identical bytes on the client wire,
-    including cache-hit revisits and a 404."""
-    targets = [f"http://{url}" for url in sorted(PAGES)[:4]]
-    targets = targets + targets + [f"http://{HOST}/missing/nothing.html"]
-    raws = {}
-    for label, proxy_cls in {
-        "threaded": PiggybackHttpProxy, "async": AsyncPiggybackHttpProxy
-    }.items():
-        clock = SettableClock()
-        taken = []
-        with PiggybackHttpServer(
-            build_engine(), site_host=HOST, clock=clock
-        ) as origin:
-            proxy = proxy_cls(
-                origins={HOST: (origin.address, origin.port)},
-                config=ProxyConfig(name="diff-proxy"),
-                clock=clock,
-            )
-            with proxy:
-                with socket.create_connection(
-                    (proxy.address, proxy.port), timeout=10.0
-                ) as sock:
-                    reader = sock.makefile("rb")
-                    for index, target in enumerate(targets):
-                        clock.value = 1_000_000.0 + index * 15.0
-                        request = HttpRequest(method="GET", target=target)
-                        request.headers.set("Host", HOST)
-                        sock.sendall(request.serialize())
-                        tee = TeeReader(reader)
-                        read_response(tee)
-                        taken.append(bytes(tee.taken))
-        raws[label] = taken
-    assert len(raws["threaded"]) == len(targets)
-    for index, (expected, actual) in enumerate(
-        zip(raws["threaded"], raws["async"])
-    ):
-        assert expected == actual, f"proxy response {index} diverges"
-    assert any(raw.startswith(b"HTTP/1.1 404") for raw in raws["threaded"])
-
-
 # -- transport faults against the async server -----------------------------
 
 
@@ -338,31 +289,6 @@ def test_async_origin_survives_client_side_faults(fault):
         request.headers.set("Host", HOST)
         assert fetch_once(origin.address, origin.port, request).status == 200
     assert origin.active_workers() == 0, "leaked connection tasks"
-
-
-def test_async_proxy_masks_faulty_origin_with_retries():
-    """Async proxy over an interposed origin: every odd upstream
-    connection is reset, retries must mask it fully (chaos parity)."""
-    schedule = lambda index: Fault.reset_after(100) if index % 2 == 0 else Fault.none()
-    with PiggybackHttpServer(build_engine(), site_host=HOST) as origin:
-        with FaultInjectingInterposer(
-            (origin.address, origin.port), schedule=schedule
-        ) as interposer:
-            proxy = AsyncPiggybackHttpProxy(
-                origins={HOST: (interposer.address, interposer.port)},
-                config=ProxyConfig(name="aio-chaos-proxy"),
-                upstream_policy=FAST_RETRIES,
-            )
-            with proxy:
-                with HttpConnection(proxy.address, proxy.port, timeout=5.0) as conn:
-                    for url in sorted(PAGES)[:6]:
-                        request = HttpRequest(method="GET", target=f"http://{url}")
-                        request.headers.set("Host", HOST)
-                        response = conn.request_once(request)
-                        assert response.status == 200
-                        assert response.body == synthetic_body(url, PAGES[url])
-            assert proxy.upstream.stats.retries > 0, "fault never actually hit"
-    assert proxy.active_workers() == 0
 
 
 # -- admin namespace on the async backend ----------------------------------
@@ -555,7 +481,7 @@ def test_silent_client_counts_as_idle_timeout_not_reap(backend):
             silent.close()
 
 
-# -- async load generator --------------------------------------------------
+# -- the load generator against the async origin ---------------------------
 
 
 def loadgen_validator():
@@ -567,10 +493,10 @@ def loadgen_validator():
     return validate
 
 
-def test_async_loadgen_closed_loop_against_async_origin():
+def test_loadgen_closed_loop_against_async_origin():
     urls = sorted(PAGES)
     with AsyncPiggybackHttpServer(build_engine(), site_host=HOST) as origin:
-        report = run_load_async(
+        report = run_load(
             origin.address,
             origin.port,
             urls,
@@ -588,20 +514,14 @@ def test_async_loadgen_closed_loop_against_async_origin():
     assert origin.wire_stats.requests_served == 60
 
 
-def test_async_loadgen_open_loop_reports_achieved_rate():
+def test_loadgen_open_loop_reports_achieved_rate():
     urls = sorted(PAGES)
     with AsyncPiggybackHttpServer(build_engine(), site_host=HOST) as origin:
-        report = run_load_async(
+        report = run_load(
             origin.address,
             origin.port,
             urls,
-            LoadConfig(
-                clients=6,
-                requests_per_client=10,
-                mode="open",
-                rate=400.0,
-                max_inflight=8,
-            ),
+            LoadConfig(clients=6, requests_per_client=10, mode="open", rate=400.0),
         )
     assert report.requests == 60
     assert report.errors == 0
@@ -611,14 +531,14 @@ def test_async_loadgen_open_loop_reports_achieved_rate():
     assert "achieved" in text
 
 
-def test_async_loadgen_classifies_connect_errors():
-    # A listener that is bound but never accepted from: grab a port, close
-    # it, and point the loadgen at the now-dead address.
+def test_loadgen_classifies_connect_errors():
+    # Grab a free port, close it, and point the load generator at the
+    # now-dead address: every request fails to connect.
     probe = socket.socket()
     probe.bind(("127.0.0.1", 0))
     address, port = probe.getsockname()
     probe.close()
-    report = run_load_async(
+    report = run_load(
         address,
         port,
         sorted(PAGES),

@@ -19,9 +19,9 @@ import random
 
 import pytest
 
+from replay_windows import SourceState
 from repro.analysis.metrics import ReplayMetrics
 from repro.analysis.prediction import ReplayConfig, replay
-from repro.analysis.windows import SourceState
 from repro.httpmodel.messages import HttpRequest
 from repro.httpmodel.piggy_codec import P_VOLUME_HEADER, parse_p_volume
 from repro.httpwire.netclient import HttpConnection
