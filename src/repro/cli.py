@@ -697,7 +697,6 @@ def _parse_backend_specs(specs: list[str]):
 def _cmd_serve_lb(args: argparse.Namespace) -> int:
     """Run only the LB front tier against already-running origins."""
     from .lb.balancer import LbHttpServer, LbPolicy
-    from .lb.cluster import _transition_hook
     from .lb.health import HealthChecker, HealthPolicy
     from .lb.routing import RoutingTable
 
@@ -727,7 +726,7 @@ def _cmd_serve_lb(args: argparse.Namespace) -> int:
         return _bind_error("serve", exc, args.address, args.port)
     checker = HealthChecker(
         table, HealthPolicy(interval=args.probe_interval),
-        on_transition=_transition_hook(lb),
+        on_transition=lb.on_backend_transition,
     )
     try:
         with lb:

@@ -1,7 +1,7 @@
 """Loopback-socket demonstration of the piggybacking protocol."""
 
 from .connbase import ThreadedWireServer, WireServerCore, WireServerStats
-from .netclient import HttpConnection, fetch_once
+from .netclient import HttpConnection, KeepAlivePool, fetch_once
 from .netserver import PiggybackHttpServer, PlainHttpServer, synthetic_body
 from .netproxy import HttpUpstream, PiggybackHttpProxy, UpstreamPolicy, UpstreamStats
 from .netcenter import TransparentHttpVolumeCenter
@@ -15,6 +15,7 @@ __all__ = [
     "WireServerStats",
     "BACKENDS",
     "HttpConnection",
+    "KeepAlivePool",
     "fetch_once",
     "PiggybackHttpServer",
     "PlainHttpServer",

@@ -35,23 +35,36 @@ from ..server.volume_center import TransparentVolumeCenter
 from .connbase import ThreadedWireServer
 from .netclient import HttpConnection
 
-__all__ = ["VolumeCenterApp", "TransparentHttpVolumeCenter"]
+__all__ = ["TransparentHttpVolumeCenter"]
 
 
-class VolumeCenterApp:
-    """Volume-center logic, paired with the threaded frontend below.
+class TransparentHttpVolumeCenter(ThreadedWireServer):
+    """On-path HTTP intermediary injecting piggybacks for legacy origins.
 
     The origin round-trip inside :meth:`handle_request` is *blocking*
-    socket I/O, so the volume center has no asyncio frontend.
+    socket I/O on the serving thread.
     """
 
-    def _init_center_app(
+    def __init__(
         self,
         origins: dict[str, tuple[str, int]],
-        center: TransparentVolumeCenter | None,
-        clock: Callable[[], float] | None,
-        upstream_timeout: float,
-    ) -> None:
+        center: TransparentVolumeCenter | None = None,
+        address: str = "127.0.0.1",
+        port: int = 0,
+        clock: Callable[[], float] | None = None,
+        io_timeout: float = 30.0,
+        idle_timeout: float | None = None,
+        max_workers: int = 64,
+        upstream_timeout: float = 10.0,
+    ):
+        super().__init__(
+            address,
+            port,
+            io_timeout=io_timeout,
+            idle_timeout=idle_timeout,
+            max_workers=max_workers,
+            name="volume-center",
+        )
         self.origins = origins
         self.center = center or TransparentVolumeCenter()
         self.clock = clock or time.time
@@ -133,30 +146,3 @@ class VolumeCenterApp:
             trailers=trailers,
             reason=upstream.reason,
         )
-
-
-class TransparentHttpVolumeCenter(VolumeCenterApp, ThreadedWireServer):
-    """On-path HTTP intermediary injecting piggybacks for legacy origins."""
-
-    def __init__(
-        self,
-        origins: dict[str, tuple[str, int]],
-        center: TransparentVolumeCenter | None = None,
-        address: str = "127.0.0.1",
-        port: int = 0,
-        clock: Callable[[], float] | None = None,
-        io_timeout: float = 30.0,
-        idle_timeout: float | None = None,
-        max_workers: int = 64,
-        upstream_timeout: float = 10.0,
-    ):
-        ThreadedWireServer.__init__(
-            self,
-            address,
-            port,
-            io_timeout=io_timeout,
-            idle_timeout=idle_timeout,
-            max_workers=max_workers,
-            name="volume-center",
-        )
-        self._init_center_app(origins, center, clock, upstream_timeout)

@@ -10,9 +10,11 @@ tracks metadata only.
 
 Concurrency and degradation model:
 
-* :class:`HttpUpstream` keeps a *pool* of persistent connections per
-  origin — parallel cache misses fetch in parallel instead of
-  interleaving writes on one shared socket;
+* :class:`HttpUpstream` keeps a :class:`~repro.httpwire.netclient.KeepAlivePool`
+  of persistent connections per origin — parallel cache misses fetch in
+  parallel instead of interleaving writes on one shared socket, and a
+  connection that gets out of step with its origin is closed, never
+  reused;
 * every upstream exchange is bounded by a timeout and retried with
   exponential backoff (:class:`UpstreamPolicy`); a persistently failing
   origin yields a synthetic ``502`` response instead of an exception, so
@@ -33,7 +35,7 @@ from ..devtools.racecheck import share
 from ..core.protocol import NOT_FOUND, OK, ProxyRequest, ServerResponse
 from ..httpmodel.dates import format_http_date, parse_http_date
 from ..httpmodel.headers import Headers
-from ..httpmodel.messages import HttpParseError, HttpRequest, HttpResponse
+from ..httpmodel.messages import HttpRequest, HttpResponse, frame_response
 from ..httpmodel.piggy_codec import (
     P_VOLUME_HEADER,
     PIGGY_FILTER_HEADER,
@@ -46,19 +48,16 @@ from ..httpmodel.piggy_codec import (
 from ..proxy.proxy import ClientOutcome, PiggybackProxy, ProxyConfig
 from ..telemetry import REGISTRY, TRACE_HEADER, TRACER
 from .connbase import ThreadedWireServer
-from .netclient import HttpConnection
+from .netclient import EXCHANGE_ERRORS, KeepAlivePool
 
 __all__ = [
     "UpstreamPolicy",
     "UpstreamStats",
     "HttpUpstream",
-    "PiggybackProxyApp",
     "PiggybackHttpProxy",
 ]
 
 BAD_GATEWAY = 502
-
-_RETRYABLE = (EOFError, HttpParseError, ConnectionError, BrokenPipeError, OSError)
 
 _TEL_UPSTREAM_EXCHANGES = REGISTRY.counter(
     "proxy_upstream_exchanges_total", "origin fetches attempted by the wire proxy"
@@ -85,7 +84,7 @@ _TEL_POOL_CONNECTS = REGISTRY.counter(
 )
 _TEL_POOL_RETIRED = REGISTRY.counter(
     "proxy_upstream_pool_retired_total",
-    "pooled connections dropped as idle-expired or broken on reuse",
+    "pooled connections dropped as idle-expired, broken on reuse or out of step",
 )
 
 
@@ -137,9 +136,9 @@ class HttpUpstream:
     """Adapter: ProxyRequest -> real HTTP exchange -> ServerResponse.
 
     Resolves each URL's host through *origins* (host -> (address, port)),
-    draws persistent connections from a per-origin pool, and records
-    response bodies in a side table so the wire proxy can serve them to
-    clients (:meth:`body_for`).  Thread-safe.
+    draws persistent connections from one :class:`KeepAlivePool` keyed by
+    host, and records response bodies in a side table so the wire proxy
+    can serve them to clients (:meth:`body_for`).  Thread-safe.
     """
 
     def __init__(
@@ -152,101 +151,48 @@ class HttpUpstream:
         self.origins = origins
         self.clock = clock or time.time
         self.policy = policy
-        self.stats = UpstreamStats()
-        self._sleep = sleep
-        self._bodies: dict[str, bytes] = share({}, "HttpUpstream._bodies")
-        # host -> [(connection, idle_since)] with the freshest at the tail
-        # (LIFO reuse); idle_since is a monotonic clock reading.
-        self._pools: dict[str, list[tuple[HttpConnection, float]]] = share(
-            {}, "HttpUpstream._pools"
+        self.pool = KeepAlivePool(
+            size=policy.pool_size,
+            idle_timeout=policy.idle_timeout,
+            timeout=policy.timeout,
+            counters={
+                "connects": _TEL_POOL_CONNECTS,
+                "reuses": _TEL_POOL_REUSES,
+                "retired": _TEL_POOL_RETIRED,
+                # A fresh-connection retry after a reused one failed does
+                # not consume a policy attempt, but it is still an attempt
+                # beyond the first.
+                "retries": _TEL_UPSTREAM_RETRIES,
+            },
         )
+        self._sleep = sleep
+        self._exchanges = 0
+        self._retries = 0
+        self._failures = 0
+        self._bodies: dict[str, bytes] = share({}, "HttpUpstream._bodies")
         self._lock = make_lock("HttpUpstream._lock")
 
-    # Body side table ----------------------------------------------------
-
     @property
-    def bodies(self) -> dict[str, bytes]:
-        return self._bodies
-
-    def body_for(self, url: str) -> bytes | None:
+    def stats(self) -> UpstreamStats:
+        """A snapshot of the origin-facing counters, the pool's included."""
+        pool = self.pool
         with self._lock:
-            return self._bodies.get(url)
-
-    def _remember_body(self, url: str, body: bytes) -> None:
-        with self._lock:
-            self._bodies[url] = body
-
-    # Connection pool ----------------------------------------------------
+            return UpstreamStats(
+                exchanges=self._exchanges,
+                retries=self._retries + pool.retries,
+                failures=self._failures,
+                pool_reuses=pool.reuses,
+                pool_connects=pool.connects,
+                pool_retired=pool.retired,
+            )
 
     def close(self) -> None:
+        self.pool.close()
+
+    def body_for(self, url: str) -> bytes | None:
+        """The last body fetched for *url*, from the side table."""
         with self._lock:
-            pooled = [entry[0] for pool in self._pools.values() for entry in pool]
-            self._pools.clear()
-        for connection in pooled:
-            connection.close()
-
-    def _note(self, field: str, counter, amount: int = 1) -> None:
-        """Bump one UpstreamStats field plus its global telemetry twin."""
-        with self._lock:
-            setattr(self.stats, field, getattr(self.stats, field) + amount)
-        counter.inc(amount)
-
-    def _connect(self, host: str) -> HttpConnection:
-        origin = self.origins.get(host)
-        if origin is None:
-            raise KeyError(f"no origin registered for host {host!r}")
-        self._note("pool_connects", _TEL_POOL_CONNECTS)
-        return HttpConnection(*origin, timeout=self.policy.timeout)
-
-    def _checkout(self, host: str) -> tuple[HttpConnection, bool]:
-        """A usable connection for *host* plus whether it was pooled.
-
-        Idle-expired pool entries encountered on the way are retired;
-        their sockets are closed outside the lock.
-        """
-        if host not in self.origins:
-            raise KeyError(f"no origin registered for host {host!r}")
-        now = time.monotonic()
-        expired: list[HttpConnection] = []
-        connection: HttpConnection | None = None
-        with self._lock:
-            pool = self._pools.get(host)
-            while pool:
-                candidate, idle_since = pool.pop()
-                if now - idle_since > self.policy.idle_timeout:
-                    expired.append(candidate)
-                    continue
-                connection = candidate
-                break
-        for old in expired:
-            old.close()
-        if expired:
-            self._note("pool_retired", _TEL_POOL_RETIRED, len(expired))
-        if connection is not None:
-            self._note("pool_reuses", _TEL_POOL_REUSES)
-            return connection, True
-        return self._connect(host), False
-
-    def _checkin(self, host: str, connection: HttpConnection) -> None:
-        now = time.monotonic()
-        expired: list[HttpConnection] = []
-        overflow: HttpConnection | None = None
-        with self._lock:
-            pool = self._pools.setdefault(host, [])
-            # The oldest entries sit at the front; age them out so a
-            # bursty load does not park dead sockets forever.
-            while pool and now - pool[0][1] > self.policy.idle_timeout:
-                expired.append(pool.pop(0)[0])
-            if len(pool) < self.policy.pool_size:
-                pool.append((connection, now))
-            else:
-                overflow = connection
-        for old in expired:
-            old.close()
-        if expired:
-            self._note("pool_retired", _TEL_POOL_RETIRED, len(expired))
-        if overflow is not None:
-            overflow.close()
+            return self._bodies.get(url)
 
     # Exchange -----------------------------------------------------------
 
@@ -270,36 +216,6 @@ class HttpUpstream:
             http_request.headers.set(TRACE_HEADER, trace_header)
         return http_request
 
-    def _attempt(self, host: str, http_request: HttpRequest) -> HttpResponse:
-        """One logical fetch attempt against *host*.
-
-        A *reused* pooled connection that fails was most likely closed by
-        the origin while idle — keep-alive housekeeping, not an origin
-        failure — so it is retired and the request retried immediately on
-        a fresh connection without consuming one of the policy's retry
-        attempts.  Only a failure on a fresh connection propagates to the
-        caller's retry/backoff loop.
-        """
-        connection, reused = self._checkout(host)
-        try:
-            response = connection.request_once(http_request)
-        except _RETRYABLE:
-            connection.close()
-            if not reused:
-                raise
-            self._note("pool_retired", _TEL_POOL_RETIRED)
-            # Still an attempt beyond the first for observability, even
-            # though it does not count against max_attempts.
-            self._note("retries", _TEL_UPSTREAM_RETRIES)
-            connection = self._connect(host)
-            try:
-                response = connection.request_once(http_request)
-            except _RETRYABLE:
-                connection.close()
-                raise
-        self._checkin(host, connection)
-        return response
-
     def __call__(self, request: ProxyRequest) -> ServerResponse:
         with _TEL_UPSTREAM_SECONDS.time(), TRACER.span("proxy.upstream_fetch") as span:
             span.tag("url", request.url)
@@ -307,33 +223,34 @@ class HttpUpstream:
 
     def _exchange(self, request: ProxyRequest) -> ServerResponse:
         host, _, path = request.url.partition("/")
-        http_request = self._build_request(request, host, path)
+        wire = self._build_request(request, host, path).serialize()
         with self._lock:
-            self.stats.exchanges += 1
+            self._exchanges += 1
         _TEL_UPSTREAM_EXCHANGES.inc()
 
         http_response = None
+        origin = self.origins.get(host)
+        # An unroutable host is not worth a single attempt.
+        attempts = self.policy.max_attempts if origin is not None else 0
         delay = self.policy.backoff
-        for attempt in range(self.policy.max_attempts):
+        for attempt in range(attempts):
             if attempt:
                 with self._lock:
-                    self.stats.retries += 1
+                    self._retries += 1
                 _TEL_UPSTREAM_RETRIES.inc()
                 if delay > 0:
                     self._sleep(delay)
                 delay *= self.policy.backoff_factor
             try:
-                http_response = self._attempt(host, http_request)
-            except KeyError:
-                break  # unroutable host: no point retrying
-            except _RETRYABLE:
+                http_response = self.pool.exchange(host, origin, wire, frame_response)
+            except EXCHANGE_ERRORS:
                 continue
             break
         if http_response is None:
             # Origin unreachable/garbled after all attempts: degrade to a
             # synthetic 502 the engine will treat as FAILED — never cached.
             with self._lock:
-                self.stats.failures += 1
+                self._failures += 1
             _TEL_UPSTREAM_FAILURES.inc()
             return ServerResponse(
                 url=request.url, status=BAD_GATEWAY, timestamp=self.clock()
@@ -354,7 +271,8 @@ class HttpUpstream:
             except PiggyCodecError:
                 piggyback = None  # a broken trailer must never break the fetch
         if http_response.status == OK:
-            self._remember_body(request.url, http_response.body)
+            with self._lock:
+                self._bodies[request.url] = http_response.body
         return ServerResponse(
             url=request.url,
             status=http_response.status,
@@ -365,27 +283,43 @@ class HttpUpstream:
         )
 
 
-class PiggybackProxyApp:
-    """Proxy logic: one :class:`PiggybackProxy` on HTTP.
+class PiggybackHttpProxy(ThreadedWireServer):
+    """Threaded wire frontend for one :class:`PiggybackProxy`.
 
-    Paired with the threaded frontend below, the proxy's only one: the
-    upstream exchange is *blocking* socket I/O.
+    The upstream exchange is *blocking* socket I/O on the serving thread.
     """
 
-    def _init_proxy_app(
+    def __init__(
         self,
         origins: dict[str, tuple[str, int]],
-        config: ProxyConfig,
-        clock: Callable[[], float] | None,
-        upstream_policy: UpstreamPolicy,
-        serve_stale_on_error: bool,
-    ) -> None:
+        config: ProxyConfig = ProxyConfig(name="wire-proxy"),
+        address: str = "127.0.0.1",
+        port: int = 0,
+        clock: Callable[[], float] | None = None,
+        upstream_policy: UpstreamPolicy = UpstreamPolicy(),
+        serve_stale_on_error: bool = True,
+        io_timeout: float = 30.0,
+        idle_timeout: float | None = None,
+        max_workers: int = 64,
+    ):
+        super().__init__(
+            address,
+            port,
+            io_timeout=io_timeout,
+            idle_timeout=idle_timeout,
+            max_workers=max_workers,
+            name="piggyback-proxy",
+        )
         self.clock = clock or time.time
         self.upstream = HttpUpstream(origins, clock=self.clock, policy=upstream_policy)
         self.engine = PiggybackProxy(self.upstream, config=config)
         self.serve_stale_on_error = serve_stale_on_error
         self.stale_responses = 0
         self._stale_lock = make_lock("PiggybackHttpProxy._stale_lock")
+
+    def stop(self, drain_timeout: float = 5.0) -> None:
+        super().stop(drain_timeout)
+        self.upstream.close()
 
     def _canonical_url(self, request: HttpRequest) -> str | None:
         """Canonical host/path from an absolute-URI proxy request target."""
@@ -435,37 +369,3 @@ class PiggybackProxyApp:
             headers.set("Warning", '111 repro-piggyback-proxy "Revalidation Failed"')
             return HttpResponse(status=200, headers=headers, body=stale)
         return HttpResponse(status=BAD_GATEWAY)
-
-
-class PiggybackHttpProxy(PiggybackProxyApp, ThreadedWireServer):
-    """Threaded wire frontend for one :class:`PiggybackProxy`."""
-
-    def __init__(
-        self,
-        origins: dict[str, tuple[str, int]],
-        config: ProxyConfig = ProxyConfig(name="wire-proxy"),
-        address: str = "127.0.0.1",
-        port: int = 0,
-        clock: Callable[[], float] | None = None,
-        upstream_policy: UpstreamPolicy = UpstreamPolicy(),
-        serve_stale_on_error: bool = True,
-        io_timeout: float = 30.0,
-        idle_timeout: float | None = None,
-        max_workers: int = 64,
-    ):
-        ThreadedWireServer.__init__(
-            self,
-            address,
-            port,
-            io_timeout=io_timeout,
-            idle_timeout=idle_timeout,
-            max_workers=max_workers,
-            name="piggyback-proxy",
-        )
-        self._init_proxy_app(
-            origins, config, clock, upstream_policy, serve_stale_on_error
-        )
-
-    def stop(self, drain_timeout: float = 5.0) -> None:
-        super().stop(drain_timeout)
-        self.upstream.close()

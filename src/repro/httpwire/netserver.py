@@ -40,12 +40,12 @@ from ..httpmodel.piggy_codec import (
 )
 from ..server.server import PiggybackServer
 from ..telemetry import REGISTRY, SIZE_BUCKETS
+from ..urls import request_url
 from .connbase import ThreadedWireServer
 
 __all__ = [
     "PiggybackOriginApp",
     "PiggybackHttpServer",
-    "PlainOriginApp",
     "PlainHttpServer",
     "synthetic_body",
 ]
@@ -124,15 +124,6 @@ class PiggybackOriginApp:
 
     # -- request translation ----------------------------------------------
 
-    def _canonical_url(self, request: HttpRequest) -> str:
-        target = request.target
-        if target.lower().startswith("http://"):
-            target = target[len("http://"):]
-            _, _, path = target.partition("/")
-            target = "/" + path
-        host = request.headers.get("Host") or self.site_host
-        return f"{host.lower()}{target}".rstrip("/") if target != "/" else host.lower()
-
     def handle_request(self, request: HttpRequest) -> HttpResponse:
         if request.method.upper() not in ("GET", "HEAD"):
             return HttpResponse(status=501)
@@ -156,7 +147,7 @@ class PiggybackOriginApp:
         except PiggyCodecError:
             report = ()  # a malformed report must never break the GET
         proxy_request = ProxyRequest(
-            url=self._canonical_url(request),
+            url=request_url(request.target, request.headers.get("Host"), self.site_host),
             timestamp=self.clock(),
             if_modified_since=if_modified_since,
             piggyback_filter=piggy_filter,
@@ -221,29 +212,7 @@ class PiggybackHttpServer(PiggybackOriginApp, ThreadedWireServer):
         self._init_origin_app(server, site_host, clock, access_logger, durable_state)
 
 
-class PlainOriginApp:
-    """Legacy origin logic: static resources, no piggyback."""
-
-    def _init_plain_app(self, resources: dict[str, tuple[bytes, float]]) -> None:
-        self.resources = resources
-        self.requests_served = 0
-        self._served_lock = make_lock("PlainHttpServer._served_lock")
-
-    def handle_request(self, request: HttpRequest) -> HttpResponse:
-        entry = self.resources.get(request.target)
-        if entry is None:
-            response = HttpResponse(status=404)
-        else:
-            body, last_modified = entry
-            response = HttpResponse(status=200, body=body)
-            response.headers.set("Last-Modified", format_http_date(last_modified))
-            response.headers.set("Server", "legacy/0.9")
-        with self._served_lock:
-            self.requests_served += 1
-        return response
-
-
-class PlainHttpServer(PlainOriginApp, ThreadedWireServer):
+class PlainHttpServer(ThreadedWireServer):
     """A legacy origin: plain HTTP/1.1, no piggyback support whatsoever.
 
     Serves a static mapping of paths to (body, last_modified) pairs.  Used
@@ -260,8 +229,7 @@ class PlainHttpServer(PlainOriginApp, ThreadedWireServer):
         idle_timeout: float | None = None,
         max_workers: int = 64,
     ):
-        ThreadedWireServer.__init__(
-            self,
+        super().__init__(
             address,
             port,
             backlog=16,
@@ -270,4 +238,19 @@ class PlainHttpServer(PlainOriginApp, ThreadedWireServer):
             max_workers=max_workers,
             name="legacy-origin",
         )
-        self._init_plain_app(resources)
+        self.resources = resources
+        self.requests_served = 0
+        self._served_lock = make_lock("PlainHttpServer._served_lock")
+
+    def handle_request(self, request: HttpRequest) -> HttpResponse:
+        entry = self.resources.get(request.target)
+        if entry is None:
+            response = HttpResponse(status=404)
+        else:
+            body, last_modified = entry
+            response = HttpResponse(status=200, body=body)
+            response.headers.set("Last-Modified", format_http_date(last_modified))
+            response.headers.set("Server", "legacy/0.9")
+        with self._served_lock:
+            self.requests_served += 1
+        return response

@@ -35,7 +35,7 @@ for tests and ``repro loadtest``, subprocesses with per-shard state
 directories for ``repro cluster``).
 """
 
-from .balancer import LbHttpServer, LbPolicy, LoadBalancerApp
+from .balancer import LbHttpServer, LbPolicy
 from .cluster import (
     ClusterConfig,
     ClusterError,
@@ -59,7 +59,6 @@ __all__ = [
     "HealthPolicy",
     "LbHttpServer",
     "LbPolicy",
-    "LoadBalancerApp",
     "LocalCluster",
     "ProcessCluster",
     "RelayedResponse",

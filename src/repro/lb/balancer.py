@@ -1,16 +1,13 @@
 """The front-tier request path: partition, pin, pick, relay, retry.
 
-:class:`LoadBalancerApp` is the backend-neutral half (the
-:class:`~repro.httpwire.netserver.PiggybackOriginApp` pattern): it holds
-routing, stickiness, and forwarding, and implements ``handle_request``
-against the :class:`~repro.httpwire.connbase.WireServerCore` contract.
-:class:`LbHttpServer` marries it to the threaded frontend, the only
-one the load balancer has.
+:class:`LbHttpServer` holds routing, stickiness, and forwarding on the
+threaded frontend, the only one the load balancer has.
 
 Per-request work, in order:
 
-1. canonicalize the URL exactly as the origin app does, take its
-   partition key, and map it to a shard on the consistent-hash ring;
+1. canonicalize the URL with the origin's own function
+   (:func:`repro.urls.request_url`), take its partition key, and map it
+   to a shard on the consistent-hash ring;
 2. read the routing snapshot (one attribute load on the fast path);
 3. resolve the client's sticky pin for that shard, else pick the
    healthy replica with the lowest weighted-least-connections score;
@@ -34,12 +31,13 @@ from ..httpmodel.framing import drop_field
 from ..httpmodel.messages import HttpRequest, HttpResponse
 from ..httpwire.connbase import ThreadedWireServer
 from ..telemetry import REGISTRY
+from ..urls import request_url
 from .forward import BackendError, Forwarder
 from .hashring import ConsistentHashRing, partition_key
 from .routing import BackendSlot, RoutingTable
 from .sticky import StickySessions
 
-__all__ = ["LbHttpServer", "LbPolicy", "LoadBalancerApp"]
+__all__ = ["LbHttpServer", "LbPolicy"]
 
 _TEL_ROUTES = REGISTRY.counter(
     "lb_route_total", "requests routed to a backend shard"
@@ -79,16 +77,32 @@ class LbPolicy:
             raise ValueError("backend_timeout must be positive")
 
 
-class LoadBalancerApp:
-    """Backend-neutral load-balancer logic over a routing table."""
+class LbHttpServer(ThreadedWireServer):
+    """Threaded front-tier server over a routing table."""
 
-    def _init_lb_app(
+    def __init__(
         self,
         table: RoutingTable,
+        address: str = "127.0.0.1",
+        port: int = 0,
         *,
         policy: LbPolicy | None = None,
         site_host: str = "origin.example",
-    ) -> None:
+        backlog: int = 64,
+        io_timeout: float = 30.0,
+        idle_timeout: float | None = None,
+        max_workers: int = 64,
+        name: str = "lb",
+    ):
+        super().__init__(
+            address,
+            port,
+            backlog=backlog,
+            io_timeout=io_timeout,
+            idle_timeout=idle_timeout,
+            max_workers=max_workers,
+            name=name,
+        )
         self.lb_policy = policy or LbPolicy()
         self.lb_table = table
         self.site_host = site_host
@@ -99,23 +113,14 @@ class LoadBalancerApp:
             pool_size=self.lb_policy.pool_size,
             idle_timeout=self.lb_policy.pool_idle_timeout,
         )
-        self._lb_stats_lock = make_lock("LoadBalancerApp._lb_stats_lock")
+        self._lb_stats_lock = make_lock("LbHttpServer._lb_stats_lock")
         self._lb_shard_routes = [0] * table.shard_count
         self._lb_retried = 0
         self._lb_unroutable = 0
 
-    # -- request translation ----------------------------------------------
-
-    def _lb_canonical_url(self, request: HttpRequest) -> str:
-        """Mirror of the origin app's canonicalization, so the partition
-        the LB routes on is the volume key the origin will file under."""
-        target = request.target
-        if target.lower().startswith("http://"):
-            target = target[len("http://"):]
-            _, _, path = target.partition("/")
-            target = "/" + path
-        host = request.headers.get("Host") or self.site_host
-        return f"{host.lower()}{target}".rstrip("/") if target != "/" else host.lower()
+    def stop(self, drain_timeout: float = 5.0) -> None:
+        super().stop(drain_timeout=drain_timeout)
+        self.lb_forwarder.close()
 
     # -- replica selection -------------------------------------------------
 
@@ -156,7 +161,7 @@ class LoadBalancerApp:
     # -- request path ------------------------------------------------------
 
     def handle_request(self, request: HttpRequest) -> HttpResponse:
-        url = self._lb_canonical_url(request)
+        url = request_url(request.target, request.headers.get("Host"), self.site_host)
         shard = self.lb_ring.shard_for_key(partition_key(url))
         client = request.headers.get("X-Proxy-Name") or "wire-proxy"
         # ``Connection`` governs the client-LB hop only; forwarding it
@@ -186,6 +191,10 @@ class LoadBalancerApp:
                     self._lb_retried += 1
             slot.begin()
             try:
+                # The relay blocks on its backend socket.  Only the threaded
+                # frontend serves the LB; the call graph also links the
+                # asyncio origin's dispatch here, through the shared base.
+                # repro: allow[flow-blocking-reachable]
                 return self.lb_forwarder.forward(slot, wire)
             except BackendError:
                 _TEL_BACKEND_ERRORS.inc()
@@ -211,6 +220,13 @@ class LoadBalancerApp:
         response.headers.set("Content-Type", "text/plain")
         return response
 
+    def on_backend_transition(self, slot: BackendSlot, transition: str) -> None:
+        """Health-checker callback: scrub the pins and pooled connections
+        of a backend the prober ejected."""
+        if transition == "ejected":
+            self.lb_sticky.forget_slot(slot)
+            self.lb_forwarder.discard_backend(slot)
+
     # -- introspection -----------------------------------------------------
 
     def lb_status(self) -> dict[str, Any]:
@@ -229,41 +245,3 @@ class LoadBalancerApp:
 
     def admin_status(self) -> dict[str, Any]:
         return {"lb": self.lb_status()}
-
-    def close_lb(self) -> None:
-        self.lb_forwarder.close()
-
-
-class LbHttpServer(LoadBalancerApp, ThreadedWireServer):
-    """Threaded front-tier server: accept loop from the wire layer,
-    routing from :class:`LoadBalancerApp`."""
-
-    def __init__(
-        self,
-        table: RoutingTable,
-        address: str = "127.0.0.1",
-        port: int = 0,
-        *,
-        policy: LbPolicy | None = None,
-        site_host: str = "origin.example",
-        backlog: int = 64,
-        io_timeout: float = 30.0,
-        idle_timeout: float | None = None,
-        max_workers: int = 64,
-        name: str = "lb",
-    ):
-        ThreadedWireServer.__init__(
-            self,
-            address,
-            port,
-            backlog=backlog,
-            io_timeout=io_timeout,
-            idle_timeout=idle_timeout,
-            max_workers=max_workers,
-            name=name,
-        )
-        self._init_lb_app(table, policy=policy, site_host=site_host)
-
-    def stop(self, drain_timeout: float = 5.0) -> None:
-        ThreadedWireServer.stop(self, drain_timeout=drain_timeout)
-        self.close_lb()

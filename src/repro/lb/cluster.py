@@ -29,7 +29,6 @@ import subprocess
 import sys
 import tempfile
 import time
-from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -39,7 +38,7 @@ from ..httpmodel.messages import HttpParseError, HttpRequest
 from ..httpwire.connbase import STATUS_PATH
 from ..httpwire.netclient import fetch_once
 from ..httpwire.netserver import PiggybackHttpServer
-from .balancer import LbHttpServer, LbPolicy, LoadBalancerApp
+from .balancer import LbHttpServer, LbPolicy
 from .health import HealthChecker, HealthPolicy
 from .routing import BackendSlot, RoutingTable
 
@@ -95,17 +94,6 @@ class ClusterConfig:
             raise ValueError("replicas must be >= 1")
 
 
-def _transition_hook(lb_app: LoadBalancerApp) -> Callable[[BackendSlot, str], None]:
-    """Health-transition callback: scrub LB state for ejected backends."""
-
-    def on_transition(slot: BackendSlot, transition: str) -> None:
-        if transition == "ejected":
-            lb_app.lb_sticky.forget_slot(slot)
-            lb_app.lb_forwarder.discard_backend(slot)
-
-    return on_transition
-
-
 class _ClusterBase:
     """Shared LB/health lifecycle over a built routing table."""
 
@@ -132,7 +120,7 @@ class _ClusterBase:
         self.health = None
         if config.start_health_checker:
             self.health = HealthChecker(
-                self.table, config.health, on_transition=_transition_hook(self.lb)
+                self.table, config.health, on_transition=self.lb.on_backend_transition
             )
             self.health.start()
         return self.lb.address, self.lb.port

@@ -6,8 +6,8 @@ is structural here, not tested-into-existence: the forwarder never
 re-serializes a message in either direction.  Requests go out as the
 bytes the frontend framed them from (minus the hop-by-hop
 ``Connection`` line, see :mod:`repro.lb.balancer`).  Each backend
-connection receives into its own buffer, and
-:func:`frame_relayed` frames exactly one response from it with
+connection is a :class:`~repro.httpwire.netclient.HttpConnection`, and
+:func:`frame_relayed` frames exactly one response from its buffer with
 :mod:`repro.httpmodel.framing` — Content-Length or chunked with the
 trailer block — parsing only the status line and the header lines that
 mention the two framing fields.
@@ -16,25 +16,19 @@ appends the captured bytes verbatim.  The threaded front tier sends
 responses solely through ``serialize_into`` (``connbase._send``), so the
 subclass override is the only seam needed.
 
-Backend connections are pooled per slot with the same discipline as
-:class:`~repro.httpwire.netproxy.HttpUpstream`: LIFO checkout (keeps the
-warm end warm), idle retirement with sockets closed outside the lock,
-and one fresh-connection retry when a *reused* connection fails — a
-pooled socket the origin closed during idle is indistinguishable from a
-dead origin until a fresh connect answers.
+Backend connections are pooled per slot in one
+:class:`~repro.httpwire.netclient.KeepAlivePool`, the wire proxy's pool
+class: LIFO checkout, idle retirement, close on overflow or when a
+backend sends bytes past its response, and one fresh-connection retry
+when a *reused* connection fails.
 """
 
 from __future__ import annotations
 
-import socket
-import time
 from typing import BinaryIO
 
-from ..devtools.lockorder import make_lock
-from ..devtools.racecheck import share
 from ..httpmodel.framing import (
     CHUNKED,
-    HttpParseError,
     Progress,
     ResponseHead,
     frame_chunked,
@@ -43,7 +37,7 @@ from ..httpmodel.framing import (
 )
 from ..httpmodel.headers import Headers
 from ..httpmodel.messages import HttpResponse, read_framed
-from ..httpwire.connbase import RECV_SIZE, recv_framed
+from ..httpwire.netclient import EXCHANGE_ERRORS, KeepAlivePool
 from .routing import BackendSlot
 
 __all__ = [
@@ -53,8 +47,6 @@ __all__ = [
     "frame_relayed",
     "read_raw_response",
 ]
-
-_RETRYABLE = (EOFError, HttpParseError, ConnectionError, BrokenPipeError, OSError)
 
 
 class BackendError(Exception):
@@ -136,26 +128,6 @@ def read_raw_response(stream: BinaryIO) -> RelayedResponse:
     return read_framed(stream, frame_relayed)
 
 
-class _BackendConnection:
-    """One persistent raw-relay connection to a backend."""
-
-    def __init__(self, slot: BackendSlot, timeout: float):
-        self.slot = slot
-        self.sock = socket.create_connection((slot.address, slot.port), timeout=timeout)
-        self.buffer = bytearray()
-        self.chunk = memoryview(bytearray(RECV_SIZE))
-
-    def exchange(self, wire: bytes) -> RelayedResponse:
-        self.sock.sendall(wire)
-        return recv_framed(self.sock, self.buffer, self.chunk, frame_relayed)
-
-    def close(self) -> None:
-        try:
-            self.sock.close()
-        except OSError:
-            pass
-
-
 class Forwarder:
     """Pooled raw-relay forwarding to backend slots."""
 
@@ -166,102 +138,30 @@ class Forwarder:
         pool_size: int = 32,
         idle_timeout: float = 30.0,
     ):
-        self.timeout = timeout
-        self.pool_size = pool_size
-        self.idle_timeout = idle_timeout
-        self._lock = make_lock("Forwarder._lock")
-        self._pools: dict[str, list[tuple[_BackendConnection, float]]] = share(
-            {}, "Forwarder._pools"
+        self.pool = KeepAlivePool(
+            size=pool_size, idle_timeout=idle_timeout, timeout=timeout
         )
-
-    # -- pool --------------------------------------------------------------
-
-    def _checkout(self, slot: BackendSlot) -> tuple[_BackendConnection, bool]:
-        """A pooled connection (reused=True) or a fresh one (False).
-
-        Expired idlers are collected under the lock but closed outside
-        it; connect for a fresh connection also happens outside the lock.
-        """
-        now = time.monotonic()
-        expired: list[_BackendConnection] = []
-        connection: _BackendConnection | None = None
-        with self._lock:
-            pool = self._pools.get(slot.key, [])
-            while pool:
-                candidate, parked = pool.pop()  # LIFO: most recently used
-                if now - parked > self.idle_timeout:
-                    expired.append(candidate)
-                    continue
-                connection = candidate
-                break
-        for idler in expired:
-            idler.close()
-        if connection is not None:
-            return connection, True
-        return _BackendConnection(slot, self.timeout), False
-
-    def _checkin(self, connection: _BackendConnection) -> None:
-        overflow: _BackendConnection | None = None
-        with self._lock:
-            pool = self._pools.setdefault(connection.slot.key, [])
-            # Bytes past the response would be framed as the next answer.
-            if len(pool) >= self.pool_size or connection.buffer:
-                overflow = connection
-            else:
-                pool.append((connection, time.monotonic()))
-        if overflow is not None:
-            overflow.close()
-
-    def discard_backend(self, slot: BackendSlot) -> None:
-        """Close every pooled connection to *slot* (after an ejection)."""
-        with self._lock:
-            parked = self._pools.pop(slot.key, [])
-        for connection, _ in parked:
-            connection.close()
-
-    def close(self) -> None:
-        with self._lock:
-            pools = list(self._pools.values())
-            self._pools.clear()
-        for pool in pools:
-            for connection, _ in pool:
-                connection.close()
-
-    def pooled(self) -> int:
-        with self._lock:
-            return sum(len(pool) for pool in self._pools.values())
-
-    # -- forwarding --------------------------------------------------------
 
     def forward(self, slot: BackendSlot, wire: bytes) -> RelayedResponse:
         """Send pre-serialized request bytes to *slot*, relay the response.
 
-        A failure on a reused connection gets one fresh-connection retry
-        (the idler may simply have been closed by the origin); a failure
-        on a fresh connection is the backend's fault and surfaces as
-        :class:`BackendError` for the balancer's eject-and-retry logic.
+        A failure the pool could not mask with its one fresh-connection
+        retry is the backend's fault and surfaces as :class:`BackendError`
+        for the balancer's eject-and-retry logic.
         """
         try:
-            connection, reused = self._checkout(slot)
-        except _RETRYABLE as exc:
+            return self.pool.exchange(
+                slot.key, (slot.address, slot.port), wire, frame_relayed
+            )
+        except EXCHANGE_ERRORS as exc:
             raise BackendError(slot, exc) from exc
-        try:
-            response = connection.exchange(wire)
-        except _RETRYABLE as first:
-            connection.close()
-            if not reused:
-                raise BackendError(slot, first) from first
-            try:
-                connection = _BackendConnection(slot, self.timeout)
-            except _RETRYABLE as exc:
-                raise BackendError(slot, exc) from exc
-            try:
-                response = connection.exchange(wire)
-            except _RETRYABLE as exc:
-                connection.close()
-                raise BackendError(slot, exc) from exc
-        except BaseException:
-            connection.close()
-            raise
-        self._checkin(connection)
-        return response
+
+    def discard_backend(self, slot: BackendSlot) -> None:
+        """Close every pooled connection to *slot* (after an ejection)."""
+        self.pool.discard(slot.key)
+
+    def close(self) -> None:
+        self.pool.close()
+
+    def pooled(self) -> int:
+        return self.pool.pooled()

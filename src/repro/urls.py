@@ -14,6 +14,7 @@ from __future__ import annotations
 
 __all__ = [
     "canonicalize",
+    "request_url",
     "split_host_path",
     "directory_prefix",
     "directory_levels",
@@ -86,6 +87,23 @@ def canonicalize(url: str) -> str:
     if not path:
         return host
     return f"{host}/{path}"
+
+
+def request_url(target: str, host: str | None, default_host: str) -> str:
+    """The canonical ``host/path`` an origin files a request under.
+
+    *target* is the request-target, origin-form (``/a/b.html``) or
+    absolute-URI (``http://h/a/b.html``, whose host is ignored); *host* is
+    the ``Host`` header, and *default_host* stands in when it is missing or
+    empty.  The host is lower-cased and one trailing slash dropped; a bare
+    ``/`` names the host itself.  The origin files volumes under this URL
+    and the load balancer partitions on it, so both call this one function.
+    """
+    if target.lower().startswith("http://"):
+        _, _, path = target[len("http://"):].partition("/")
+        target = "/" + path
+    host = (host or default_host).lower()
+    return f"{host}{target}".rstrip("/") if target != "/" else host
 
 
 def split_host_path(url: str) -> tuple[str, str]:

@@ -221,10 +221,12 @@ def test_piggyback_cache_entries_are_proxied(race_on):
 
 def test_upstream_pools_are_proxied(race_on):
     from repro.httpwire.netproxy import HttpUpstream
+    from repro.lb.forward import Forwarder
 
     upstream = HttpUpstream(origins={})
-    assert isinstance(upstream._pools, SharedStateProxy)
+    assert isinstance(upstream.pool._idle, SharedStateProxy)
     assert isinstance(upstream._bodies, SharedStateProxy)
+    assert isinstance(Forwarder().pool._idle, SharedStateProxy)
 
 
 def test_metrics_registry_instruments_are_proxied(race_on):
